@@ -5,11 +5,13 @@ to stream them) and then asserts, so the suite both reports and gates.
 """
 
 import hashlib
+import json
 import math
 import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from edgegame.blockmodel import StrategyPair, block_matrix, sample_adjacency, sample_snapshot
 from edgegame.dynamics import (
@@ -300,65 +302,68 @@ def _bench_fingerprint(path: Path) -> list[list[str]]:
     return [[f for i, f in enumerate(row) if rows[0][i] != "seconds"] for row in rows]
 
 
+# The scenario set of criterion 12: one scenario per kind, small sizes.
+C12_SCENARIOS = [
+    ScenarioSpec("eq", "nash", {"c": 0.8, "seed": 0}),
+    ScenarioSpec("p1", "protocol1", {"n": 10, "horizon": 8, "seed": 1}),
+    ScenarioSpec("p2", "protocol2", {"n": 10, "horizon": 10, "c": 0.8, "seed": 2}),
+    ScenarioSpec(
+        "p3",
+        "protocol3",
+        {
+            "n": 8,
+            "horizon": 60,
+            "c_states": (0.6, 0.9),
+            "transition": ((0.5, 0.5), (0.5, 0.5)),
+            "holding_time": 20,
+            "initial_state": 0,
+            "seed": 3,
+        },
+    ),
+    ScenarioSpec(
+        "sw",
+        "sweep_c",
+        {"n": 8, "horizon": 8, "c_grid": (0.7, 0.9), "seeds": 2, "seed": 4},
+    ),
+    ScenarioSpec(
+        "op",
+        "opinion",
+        {
+            "n_agents": 50,
+            "radius": 0.2,
+            "learning_rate": 0.05,
+            "exploration": 0.1,
+            "c": 0.9,
+            "with_recommender": True,
+            "horizon": 2000,
+            "record_every": 100,
+            "seed": 5,
+        },
+    ),
+    ScenarioSpec(
+        "vm",
+        "verify_myopic",
+        {
+            "c_states": (0.6, 0.9),
+            "transition": ((0.5, 0.5), (0.5, 0.5)),
+            "holding_time": 1,
+            "initial_state": 0,
+            "gamma": 0.9,
+            "grid": 51,
+            "horizon": 10,
+            "seed": 6,
+        },
+    ),
+    ScenarioSpec(
+        "bench", "bench", {"sizes": (30, 60), "p": 0.75, "repeats": 1, "c": 0.8, "seed": 7}
+    ),
+]
+
+
 def test_c12_every_scenario_is_reproducible(tmp_path):
-    scenarios = [
-        ScenarioSpec("eq", "nash", {"c": 0.8, "seed": 0}),
-        ScenarioSpec("p1", "protocol1", {"n": 10, "horizon": 8, "seed": 1}),
-        ScenarioSpec("p2", "protocol2", {"n": 10, "horizon": 10, "c": 0.8, "seed": 2}),
-        ScenarioSpec(
-            "p3",
-            "protocol3",
-            {
-                "n": 8,
-                "horizon": 60,
-                "c_states": (0.6, 0.9),
-                "transition": ((0.5, 0.5), (0.5, 0.5)),
-                "holding_time": 20,
-                "initial_state": 0,
-                "seed": 3,
-            },
-        ),
-        ScenarioSpec(
-            "sw",
-            "sweep_c",
-            {"n": 8, "horizon": 8, "c_grid": (0.7, 0.9), "seeds": 2, "seed": 4},
-        ),
-        ScenarioSpec(
-            "op",
-            "opinion",
-            {
-                "n_agents": 50,
-                "radius": 0.2,
-                "learning_rate": 0.05,
-                "exploration": 0.1,
-                "c": 0.9,
-                "with_recommender": True,
-                "horizon": 2000,
-                "record_every": 100,
-                "seed": 5,
-            },
-        ),
-        ScenarioSpec(
-            "vm",
-            "verify_myopic",
-            {
-                "c_states": (0.6, 0.9),
-                "transition": ((0.5, 0.5), (0.5, 0.5)),
-                "holding_time": 1,
-                "initial_state": 0,
-                "gamma": 0.9,
-                "grid": 51,
-                "horizon": 10,
-                "seed": 6,
-            },
-        ),
-        ScenarioSpec(
-            "bench", "bench", {"sizes": (30, 60), "p": 0.75, "repeats": 1, "c": 0.8, "seed": 7}
-        ),
-    ]
     ok = True
     details = []
-    for spec in scenarios:
+    for spec in C12_SCENARIOS:
         dir_a = tmp_path / f"{spec.name}_a"
         dir_b = tmp_path / f"{spec.name}_b"
         files_a = run_scenario(spec, dir_a).files
@@ -383,5 +388,54 @@ def test_c12_every_scenario_is_reproducible(tmp_path):
         12,
         "identical seeds reproduce identical outputs",
         ok,
-        "; ".join(details) or f"{len(scenarios)} scenario kinds re-run",
+        "; ".join(details) or f"{len(C12_SCENARIOS)} scenario kinds re-run",
     )
+
+
+GOLDEN = Path(__file__).with_name("golden_hashes.json")
+
+
+def _golden_digest(spec: ScenarioSpec, path: Path) -> str:
+    if spec.kind != "bench":
+        return _hash(path)
+    # Timings are left out: the CSV's seconds column, the summary's ratios.
+    if path.suffix == ".csv":
+        text = "\n".join(",".join(row) for row in _bench_fingerprint(path))
+    else:
+        data = json.loads(path.read_text())
+        del data["extras"]["ratios"]
+        text = json.dumps(data, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def golden_digests(out_dir: Path) -> dict[str, str]:
+    """SHA-256 of every output file of the criterion-12 scenarios, keyed 'scenario/file'."""
+    digests = {}
+    for spec in C12_SCENARIOS:
+        base = out_dir / spec.name
+        for fname in sorted(run_scenario(spec, base).files):
+            digests[f"{spec.name}/{fname}"] = _golden_digest(spec, base / fname)
+    return digests
+
+
+def test_c12_outputs_match_pinned_hashes(tmp_path):
+    pinned = json.loads(GOLDEN.read_text())
+    if np.__version__ != pinned["numpy"]:
+        pytest.skip(
+            f"hashes were pinned under numpy {pinned['numpy']}, this is {np.__version__}; "
+            "NEP 19 allows random streams to change between numpy versions"
+        )
+    got = golden_digests(tmp_path)
+    changed = sorted(k for k in pinned["sha256"] if got.get(k) != pinned["sha256"][k])
+    ok = got.keys() == pinned["sha256"].keys() and not changed
+    _report(12, "outputs match the pinned hashes", ok, ", ".join(changed) or f"{len(got)} files")
+
+
+if __name__ == "__main__":
+    # Re-pins the hashes; run only when outputs are meant to change:
+    #   PYTHONPATH=src python tests/test_acceptance.py
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        record = {"numpy": np.__version__, "sha256": golden_digests(Path(tmp))}
+    GOLDEN.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
