@@ -96,6 +96,4 @@ def sample_adjacency(m: BlockProbabilityMatrix, n: int, rng: np.random.Generator
 
 def sample_snapshot(m: BlockProbabilityMatrix, n: int, rng: np.random.Generator) -> DirectedGraph:
     """Sample one graph snapshot from the block probabilities."""
-    adj = sample_adjacency(m, n, rng)
-    src, dst = np.nonzero(adj)
-    return DirectedGraph._from_arrays(n, src, dst)
+    return DirectedGraph.from_adjacency(sample_adjacency(m, n, rng), n)

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .experiments import (
@@ -50,7 +49,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("config", help="path to the scenario config file")
     run_p.add_argument("--seed", type=int, default=None, help="override every scenario's seed")
     run_p.add_argument("--out-dir", default=None, help="output directory")
-    run_p.add_argument("--threads", type=int, default=1, help="parallel scenario workers")
     run_p.set_defaults(command="run")
     return parser
 
@@ -105,13 +103,8 @@ def _run_config(args: argparse.Namespace) -> int:
             for s in specs
         ]
     out_dir = _out_dir(args.out_dir)
-    if args.threads > 1 and len(specs) > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            summaries = list(pool.map(lambda s: run_scenario(s, out_dir), specs))
-    else:
-        summaries = [run_scenario(spec, out_dir) for spec in specs]
-    for summary in summaries:
-        print(summary_line(summary))
+    for spec in specs:
+        print(summary_line(run_scenario(spec, out_dir)))
     return 0
 
 

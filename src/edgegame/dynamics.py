@@ -114,8 +114,6 @@ class ProtocolConfig:
     """One simulation run: which protocol, sizes, and its seed.
 
     ``recommender`` must be set exactly for P2, ``chain`` exactly for P3.
-    ``gamma`` is the discount used by the planning analysis (see
-    ``verify_myopic_optimality``); the simulation itself never reads it.
     """
 
     protocol: Protocol
@@ -124,7 +122,6 @@ class ProtocolConfig:
     recommender: RecommenderConfig | None = None
     chain: SemiMarkovChain | None = None
     seed: int = 0
-    gamma: float | None = None
 
     def __post_init__(self):
         if self.n_per_community < 1:
@@ -137,8 +134,6 @@ class ProtocolConfig:
             raise ValueError("protocol2 requires a fixed RecommenderConfig")
         if self.protocol is Protocol.P3 and (self.chain is None or self.recommender):
             raise ValueError("protocol3 requires a SemiMarkovChain")
-        if self.gamma is not None and not 0.0 <= self.gamma < 1.0:
-            raise ValueError("gamma must be in [0, 1)")
 
 
 @dataclass(frozen=True)

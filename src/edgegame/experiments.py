@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+import re
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -54,8 +56,15 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
+def _parse_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text.strip()!r}")
+    return value
+
+
 def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(part) for part in text.split(","))
+    return tuple(_parse_float(part) for part in text.split(","))
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
@@ -63,12 +72,12 @@ def _parse_ints(text: str) -> tuple[int, ...]:
 
 
 def _parse_matrix(text: str) -> tuple[tuple[float, ...], ...]:
-    return tuple(tuple(float(x) for x in row.split(",")) for row in text.split(";"))
+    return tuple(tuple(_parse_float(x) for x in row.split(",")) for row in text.split(";"))
 
 
 _PARSERS: dict[str, Callable[[str], object]] = {
     "int": int,
-    "float": float,
+    "float": _parse_float,
     "bool": _parse_bool,
     "str": str.strip,
     "floats": _parse_floats,
@@ -269,6 +278,32 @@ def parse_config(text: str) -> list[ScenarioSpec]:
 # --- execution --------------------------------------------------------------
 
 
+def _checked(call: Callable, keys: dict[str, str], /, **fields):
+    """``call(**fields)``, where a ValueError naming a field is a configuration error.
+
+    The ConfigError names the scenario key each named field came from;
+    ``keys`` maps fields to keys where the names differ. A ValueError that
+    names none of the fields is not a configuration error and propagates.
+    """
+    try:
+        return call(**fields)
+    except ValueError as exc:
+        named = [f for f in fields if re.search(rf"\b{f}\b", str(exc))]
+        if not named:
+            raise
+        where = ", ".join(repr(keys.get(f, f)) for f in named)
+        raise ConfigError(f"bad value for {where}: {exc}") from None
+
+
+def _recommender(key: str, c: float) -> RecommenderConfig:
+    return _checked(RecommenderConfig, {"acceptance_probability": key}, acceptance_probability=c)
+
+
+def _at_least_one(key: str, values) -> None:
+    if min(values) < 1:
+        raise ConfigError(f"bad value for {key!r}: must be >= 1")
+
+
 def _uniform_matrix(k: int) -> tuple[tuple[float, ...], ...]:
     return tuple(tuple(1.0 / k for _ in range(k)) for _ in range(k))
 
@@ -278,15 +313,14 @@ def build_chain(params: dict) -> SemiMarkovChain:
     transition = params["transition"]
     if transition is None:
         transition = _uniform_matrix(len(states))
-    try:
-        return SemiMarkovChain(
-            states=states,
-            transition=transition,
-            holding_time=params["holding_time"],
-            initial_state=params["initial_state"],
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return _checked(
+        SemiMarkovChain,
+        {"states": "c_states"},
+        states=states,
+        transition=transition,
+        holding_time=params["holding_time"],
+        initial_state=params["initial_state"],
+    )
 
 
 def _trace_deviation(records: list[TraceRecord], reference_of_c) -> float:
@@ -315,7 +349,7 @@ def run_scenario(spec: ScenarioSpec, out_dir: str | Path = ".") -> RunSummary:
     csv_path = base / f"{spec.name}.csv"
 
     if spec.kind == "nash":
-        result = nash_equilibrium(spec.params["c"])
+        result = _checked(nash_equilibrium, {"acceptance": "c"}, acceptance=spec.params["c"])
         summary.final_p_r = result.strategy.p_r
         summary.final_p_b = result.strategy.p_b
         summary.reference_p = result.strategy.p_r
@@ -354,17 +388,21 @@ def run_scenario(spec: ScenarioSpec, out_dir: str | Path = ".") -> RunSummary:
             )
 
     elif spec.kind == "sweep_c":
+        _at_least_one("seeds", [spec.params["seeds"]])
+        recommenders = [_recommender("c_grid", c) for c in spec.params["c_grid"]]
         rows = []
         tails = {}
-        for c_idx, c in enumerate(spec.params["c_grid"]):
+        for c_idx, (c, recommender) in enumerate(zip(spec.params["c_grid"], recommenders)):
             per_seed = []
             for rep in range(spec.params["seeds"]):
                 run_seed = child_seed(seed, "sweep", c_idx, rep)
-                cfg = ProtocolConfig(
+                cfg = _checked(
+                    ProtocolConfig,
+                    {"n_per_community": "n"},
                     protocol=Protocol.P2,
                     n_per_community=spec.params["n"],
                     horizon=spec.params["horizon"],
-                    recommender=RecommenderConfig(c),
+                    recommender=recommender,
                     seed=run_seed,
                 )
                 records = run_protocol(cfg)
@@ -378,7 +416,9 @@ def run_scenario(spec: ScenarioSpec, out_dir: str | Path = ".") -> RunSummary:
         summary.extras = {"mean_tail_segregation": {format_float(c): v for c, v in tails.items()}}
 
     elif spec.kind == "opinion":
-        cfg = OpinionConfig(
+        cfg = _checked(
+            OpinionConfig,
+            {"acceptance": "c"},
             n_agents=spec.params["n_agents"],
             radius=spec.params["radius"],
             learning_rate=spec.params["learning_rate"],
@@ -401,8 +441,11 @@ def run_scenario(spec: ScenarioSpec, out_dir: str | Path = ".") -> RunSummary:
 
     elif spec.kind == "bench":
         sizes = list(spec.params["sizes"])
-        pair = StrategyPair(spec.params["p"], spec.params["p"])
-        rec_cfg = RecommenderConfig(spec.params["c"])
+        _at_least_one("sizes", sizes)
+        _at_least_one("repeats", [spec.params["repeats"]])
+        p = spec.params["p"]
+        pair = _checked(StrategyPair, {"p_r": "p", "p_b": "p"}, p_r=p, p_b=p)
+        rec_cfg = _recommender("c", spec.params["c"])
         graphs = {}
         outcomes = {}
         for n in sizes:
@@ -429,8 +472,13 @@ def run_scenario(spec: ScenarioSpec, out_dir: str | Path = ".") -> RunSummary:
 
     elif spec.kind == "verify_myopic":
         chain = build_chain(spec.params)
-        report = verify_myopic_optimality(
-            chain, spec.params["gamma"], spec.params["grid"], spec.params["horizon"]
+        report = _checked(
+            verify_myopic_optimality,
+            {"action_grid_size": "grid"},
+            chain=chain,
+            gamma=spec.params["gamma"],
+            action_grid_size=spec.params["grid"],
+            horizon=spec.params["horizon"],
         )
         rows = [
             [idx, format_float(c), format_float(a)]
@@ -450,34 +498,25 @@ def run_scenario(spec: ScenarioSpec, out_dir: str | Path = ".") -> RunSummary:
     summary.wall_time_s = time.perf_counter() - t0
     summary_path = base / f"{spec.name}.summary.json"
     with summary_path.open("w", encoding="utf-8") as fp:
-        json.dump(summary.to_json_dict(), fp, indent=2, sort_keys=True)
+        json.dump(summary.to_json_dict(), fp, indent=2, sort_keys=True, allow_nan=False)
         fp.write("\n")
     summary.files.append(summary_path.name)
     return summary
 
 
 def _protocol_config(kind: str, params: dict, seed: int) -> ProtocolConfig:
-    if kind == "protocol1":
-        return ProtocolConfig(
-            protocol=Protocol.P1,
-            n_per_community=params["n"],
-            horizon=params["horizon"],
-            seed=seed,
-        )
+    extra: dict = {"protocol": Protocol(kind)}
     if kind == "protocol2":
-        return ProtocolConfig(
-            protocol=Protocol.P2,
-            n_per_community=params["n"],
-            horizon=params["horizon"],
-            recommender=RecommenderConfig(params["c"]),
-            seed=seed,
-        )
-    return ProtocolConfig(
-        protocol=Protocol.P3,
+        extra["recommender"] = _recommender("c", params["c"])
+    elif kind == "protocol3":
+        extra["chain"] = build_chain(params)
+    return _checked(
+        ProtocolConfig,
+        {"n_per_community": "n"},
         n_per_community=params["n"],
         horizon=params["horizon"],
-        chain=build_chain(params),
         seed=seed,
+        **extra,
     )
 
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blockmodel import StrategyPair
-from .graph import DirectedGraph
 
 # Lower end of the action set (0, 1]. Best responses never reach it in
 # either regime; it only keeps the clamp inside the open interval.
@@ -45,63 +44,21 @@ class EquilibriumResult:
 # --- realized (per-snapshot) utilities ---------------------------------
 
 
-def realized_utility_base(g: DirectedGraph, i: int) -> int:
-    """Cross-community followers of i minus cross-community friends of i."""
-    n = g.n_per_community
-    red_i = g.community(i) == 0
-    followers = sum(1 for v in g.out_neighbors(i) if (v < n) != red_i)
-    friends = sum(1 for u in g.in_neighbors(i) if (u < n) != red_i)
-    return followers - friends
+def realized_utility_rec_all(adj: np.ndarray, n: int, acceptance: float) -> np.ndarray:
+    """Realized utility of all 2n nodes, recommender terms included.
 
-
-def realized_utility_rec(g: DirectedGraph, i: int, acceptance: float) -> float:
-    """Utility of node i including the recommender's reward terms.
-
-    Adds to the base utility (a) the expected number of cross links the
-    recommender would create for i, i.e. acceptance times the summed
+    Node i's base utility is its cross-community followers minus its
+    cross-community friends. The recommender adds (a) the expected number
+    of cross links it would create for i, i.e. acceptance times the summed
     proposal ratios over missing cross pairs (i, j), and (b) a bridging
     reward of acceptance/(n-1) for every (cross friend j, in-group
     follower i') pair of i where i' does not already follow j. Both terms
-    are evaluated exactly on the snapshot, without clamping the ratios.
-    """
-    n = g.n_per_community
-    base = float(realized_utility_base(g, i))
-    if n == 1:
-        return base  # no same-community third parties exist
-    red_i = g.community(i) == 0
-    out_i = g.out_neighbors(i)
-    in_i = g.in_neighbors(i)
+    are evaluated exactly on the snapshot, without clamping the ratios;
+    with acceptance 0 only the base utility remains.
 
-    contacts = [jp for jp in out_i if (jp < n) != red_i]
-    contacts += [jp for jp in in_i if (jp < n) != red_i]
-    expected_links = 0
-    if contacts:
-        contact_outs = [g.out_neighbors(jp) for jp in contacts]
-        targets = range(n, 2 * n) if red_i else range(n)
-        for j in targets:
-            if j in out_i:
-                continue
-            for out_jp in contact_outs:
-                if j in out_jp:
-                    expected_links += 1
-
-    bridging = 0
-    cross_friends = [j for j in in_i if (j < n) != red_i]
-    ingroup_followers = [ip for ip in out_i if (ip < n) == red_i]
-    for j in cross_friends:
-        out_j = g.out_neighbors(j)
-        for ip in ingroup_followers:
-            if ip not in out_j:
-                bridging += 1
-
-    return base + acceptance / (n - 1) * (expected_links + bridging)
-
-
-def realized_utility_rec_all(adj: np.ndarray, n: int, acceptance: float) -> np.ndarray:
-    """Vector of ``realized_utility_rec`` over all 2n nodes, from adjacency.
-
-    Matrix-product form of the same three terms; used by the Monte-Carlo
-    consistency checks where per-node loops would dominate the runtime.
+    The dense products cost O(n^3) but beat ``graph.two_hop_support`` at
+    the small n of the Monte-Carlo checks; tests hold the two to the same
+    support.
     """
     a = adj.astype(np.float64)
     blue = np.arange(2 * n) >= n

@@ -9,7 +9,7 @@ points from the friend ``u`` to the follower ``v``, i.e. it records that
 
 from __future__ import annotations
 
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable
 
 import numpy as np
 
@@ -36,24 +36,21 @@ def segregation_value(inter_edges: int, n_red: int, n_blue: int) -> float:
 class DirectedGraph:
     """Loop-free directed graph over two equal-size communities.
 
-    Edge membership, per-node adjacency, and the inter-community edge
-    count are all O(1); a full recommender pass over every cross pair is
-    O(n^2) in the sparse-cross regime. Instances are treated as immutable
-    snapshots while a simulation step reads them; mutation (``add_edge``)
-    is reserved for the single writer between steps.
+    The graph is its dense boolean adjacency ``adj`` (2n x 2n,
+    ``adj[u, v]`` is the edge u -> v). In-group blocks hold about p n^2
+    edges by design, so a dense array costs no more than adjacency lists,
+    and it feeds the numpy kernels directly. Instances are treated as
+    immutable snapshots while a simulation step reads them; mutation
+    (``add_edge``) is reserved for the single writer between steps.
     """
 
-    __slots__ = ("_n", "_out", "_in", "_n_edges", "_n_inter")
+    __slots__ = ("_n", "adj")
 
     def __init__(self, n_per_community: int, edges: Iterable[tuple[int, int]] = ()):
         if n_per_community < 1:
             raise ValueError("n_per_community must be >= 1")
         self._n = int(n_per_community)
-        size = 2 * self._n
-        self._out: list[set[int]] = [set() for _ in range(size)]
-        self._in: list[set[int]] = [set() for _ in range(size)]
-        self._n_edges = 0
-        self._n_inter = 0
+        self.adj = np.zeros((2 * self._n, 2 * self._n), dtype=bool)
         for u, v in edges:
             self.add_edge(u, v)
 
@@ -62,12 +59,13 @@ class DirectedGraph:
         return self._n
 
     @property
-    def num_nodes(self) -> int:
-        return 2 * self._n
+    def num_edges(self) -> int:
+        return int(np.count_nonzero(self.adj))
 
     @property
-    def num_edges(self) -> int:
-        return self._n_edges
+    def inter_edges(self) -> int:
+        n = self._n
+        return int(np.count_nonzero(self.adj[:n, n:]) + np.count_nonzero(self.adj[n:, :n]))
 
     def community(self, v: int) -> int:
         """RED for indices below ``n_per_community``, BLUE above."""
@@ -81,7 +79,7 @@ class DirectedGraph:
     def has_edge(self, u: int, v: int) -> bool:
         self._check_node(u)
         self._check_node(v)
-        return v in self._out[u]
+        return bool(self.adj[u, v])
 
     def add_edge(self, u: int, v: int) -> bool:
         """Insert edge ``(u, v)``; returns False if it already existed."""
@@ -89,86 +87,35 @@ class DirectedGraph:
         self._check_node(v)
         if u == v:
             raise ValueError("self-loops are not allowed")
-        if v in self._out[u]:
+        if self.adj[u, v]:
             return False
-        self._out[u].add(v)
-        self._in[v].add(u)
-        self._n_edges += 1
-        if (u < self._n) != (v < self._n):
-            self._n_inter += 1
+        self.adj[u, v] = True
         return True
 
     def add_edges(self, pairs: Iterable[tuple[int, int]]) -> int:
         return sum(1 for u, v in pairs if self.add_edge(u, v))
 
-    def out_neighbors(self, v: int) -> set[int]:
-        """Followers of ``v``. The returned set is live; do not mutate."""
-        self._check_node(v)
-        return self._out[v]
-
-    def in_neighbors(self, v: int) -> set[int]:
-        """Friends of ``v`` (nodes that ``v`` follows). Live set; do not mutate."""
-        self._check_node(v)
-        return self._in[v]
-
-    def iter_edges(self) -> Iterator[tuple[int, int]]:
-        for u, out in enumerate(self._out):
-            for v in out:
-                yield (u, v)
-
     def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.iter_edges())
-
-    @property
-    def inter_edges(self) -> int:
-        return self._n_inter
-
-    # --- array interop -------------------------------------------------
+        """Every edge as a (src, dst) pair, in lexicographic order."""
+        src, dst = np.nonzero(self.adj)
+        return list(zip(src.tolist(), dst.tolist()))
 
     @classmethod
     def from_adjacency(cls, adj: np.ndarray, n_per_community: int) -> "DirectedGraph":
-        """Build from a 2n x 2n boolean/0-1 adjacency matrix (adj[u, v] = edge u->v)."""
+        """Copy of a 2n x 2n boolean/0-1 adjacency matrix (adj[u, v] = edge u->v)."""
         size = 2 * int(n_per_community)
         if adj.shape != (size, size):
             raise ValueError(f"adjacency must be {size}x{size}, got {adj.shape}")
         if np.any(np.diagonal(adj)):
             raise ValueError("adjacency has self-loops on the diagonal")
-        src, dst = np.nonzero(adj)
-        return cls._from_arrays(n_per_community, src, dst)
-
-    @classmethod
-    def _from_arrays(cls, n_per_community: int, src: np.ndarray, dst: np.ndarray) -> "DirectedGraph":
-        # Trusted input: no loops, no duplicates. Skips per-edge checks.
-        g = cls(n_per_community)
-        n = g._n
-        out = g._out
-        inn = g._in
-        inter = 0
-        for u, v in zip(src.tolist(), dst.tolist()):
-            out[u].add(v)
-            inn[v].add(u)
-            if (u < n) != (v < n):
-                inter += 1
-        g._n_edges = len(src)
-        g._n_inter = inter
+        g = cls.__new__(cls)
+        g._n = int(n_per_community)
+        g.adj = np.array(adj, dtype=bool)
         return g
-
-    def to_adjacency(self) -> np.ndarray:
-        size = 2 * self._n
-        adj = np.zeros((size, size), dtype=bool)
-        for u, out in enumerate(self._out):
-            for v in out:
-                adj[u, v] = True
-        return adj
 
     # --- text dump format ----------------------------------------------
     # Header line "N=<n_per_community>", then one "src dst" line per edge,
     # sorted lexicographically by (src, dst).
-
-    def dump(self, fp: IO[str]) -> None:
-        fp.write(f"N={self._n}\n")
-        for u, v in self.sorted_edges():
-            fp.write(f"{u} {v}\n")
 
     def dumps(self) -> str:
         lines = [f"N={self._n}"]
@@ -190,25 +137,7 @@ class DirectedGraph:
         return g
 
     def __repr__(self) -> str:
-        return f"DirectedGraph(n_per_community={self._n}, edges={self._n_edges})"
-
-
-def d_indicator(g: DirectedGraph, i: int, j: int) -> int:
-    """1 iff the edge (i, j) exists and i, j sit in different communities."""
-    if i == j:
-        raise ValueError("d_indicator requires i != j")
-    if g.community(i) == g.community(j):
-        return 0
-    return 1 if g.has_edge(i, j) else 0
-
-
-def s_indicator(g: DirectedGraph, i: int, j: int) -> int:
-    """1 iff the edge (i, j) exists and i, j sit in the same community."""
-    if i == j:
-        raise ValueError("s_indicator requires i != j")
-    if g.community(i) != g.community(j):
-        return 0
-    return 1 if g.has_edge(i, j) else 0
+        return f"DirectedGraph(n_per_community={self._n}, edges={self.num_edges})"
 
 
 def inter_edge_count(g: DirectedGraph) -> int:
@@ -221,25 +150,26 @@ def segregation_measure(g: DirectedGraph) -> float:
     return segregation_value(g.inter_edges, g.n_per_community, g.n_per_community)
 
 
-def two_hop_count(g: DirectedGraph, i: int, j: int) -> int:
-    """Count i's cross-community links into j's same-community friend set.
+def two_hop_support(adj: np.ndarray, n: int) -> np.ndarray:
+    """Two-hop support of every ordered pair, from a 2n x 2n adjacency.
 
-    A friend j' of j (edge (j', j) within j's community) contributes one
-    for each direction in which it is linked with i: once if j' follows i
-    (edge (i, j')) and once if i follows j' (edge (j', i)). i and j must
-    be in different communities.
+    For i and j in different communities, ``support[i, j]`` counts the
+    in-group friends j' of j (edge (j', j)) once for each direction in
+    which j' is linked with i: once if j' follows i (edge (i, j')) and
+    once if i follows j' (edge (j', i)). In-group pairs get 0.
+
+    Each cross block adds, per row i, the in-group adjacency rows of i's
+    cross contacts, weighted 1 or 2. The sum is integer-exact, and O(n^2)
+    when cross contacts are O(n) in total, as in sampled snapshots.
     """
-    if g.community(i) == g.community(j):
-        raise ValueError("two_hop_count requires i, j in different communities")
-    n = g.n_per_community
-    red_i = i < n
-    total = 0
-    # j' ranges over i's cross-community followers and friends; both are in
-    # j's community, so only the edge (j', j) remains to check.
-    for jp in g.out_neighbors(i):
-        if (jp < n) != red_i and g.has_edge(jp, j):
-            total += 1
-    for jp in g.in_neighbors(i):
-        if (jp < n) != red_i and g.has_edge(jp, j):
-            total += 1
-    return total
+    support = np.zeros(adj.shape, dtype=np.int64)
+    red, blue = slice(0, n), slice(n, 2 * n)
+    for own, other in ((red, blue), (blue, red)):
+        weight = adj[own, other].astype(np.int64) + adj[other, own].T
+        rows, contacts = np.nonzero(weight)
+        if rows.size == 0:
+            continue
+        terms = adj[other, other][contacts] * weight[rows, contacts][:, None]
+        starts = np.flatnonzero(np.diff(rows, prepend=-1))
+        support[own, other][rows[starts]] = np.add.reduceat(terms, starts, axis=0)
+    return support

@@ -49,8 +49,10 @@ class OpinionConfig:
             raise ValueError("learning_rate must be in (0, 1]")
         if not 0.0 <= self.acceptance <= 1.0:
             raise ValueError("acceptance must be in [0, 1]")
-        if self.horizon < 1 or self.record_every < 1:
-            raise ValueError("horizon and record_every must be >= 1")
+        if self.horizon < 1:
+            raise ValueError("horizon must be >= 1")
+        if self.record_every < 1:
+            raise ValueError("record_every must be >= 1")
 
 
 def init_geometric_graph(

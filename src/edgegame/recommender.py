@@ -11,11 +11,10 @@ cross links are O(n) total.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import IO
 
 import numpy as np
 
-from .graph import DirectedGraph, two_hop_count
+from .graph import DirectedGraph, two_hop_support
 
 
 @dataclass(frozen=True)
@@ -38,14 +37,6 @@ class RecommendationOutcome:
     recommended: tuple[tuple[int, int], ...]
     accepted: tuple[tuple[int, int], ...]
 
-    def write(self, fp: IO[str]) -> None:
-        fp.write("RECOMMENDED\n")
-        for u, v in self.recommended:
-            fp.write(f"{u} {v}\n")
-        fp.write("ACCEPTED\n")
-        for u, v in self.accepted:
-            fp.write(f"{u} {v}\n")
-
     def dumps(self) -> str:
         lines = ["RECOMMENDED"]
         lines.extend(f"{u} {v}" for u, v in self.recommended)
@@ -62,12 +53,14 @@ def recommendation_probability(g: DirectedGraph, i: int, j: int) -> float:
     probability is a contract violation. The two-hop support can exceed
     n - 1 (both link directions count), so the ratio is clamped to 1.
     """
+    if g.community(i) == g.community(j):
+        raise ValueError("recommendation_probability requires i, j in different communities")
     if g.has_edge(i, j):
         raise ValueError(f"edge ({i}, {j}) already exists; pair is never proposed")
-    count = two_hop_count(g, i, j)  # validates the communities
+    count = int(two_hop_support(g.adj, g.n_per_community)[i, j])
     if count == 0:
         return 0.0
-    return min(1.0, count / (g.n_per_community - 1))
+    return min(1.0, count * (1.0 / (g.n_per_community - 1)))
 
 
 def run_recommender(
@@ -82,36 +75,19 @@ def run_recommender(
     caller applies ``accepted`` to the graph.
     """
     n = g.n_per_community
-    inv = 1.0 / (n - 1) if n > 1 else 0.0
+    support = two_hop_support(g.adj, n)
+    # Row-major nonzero order is the lexicographic pass order.
+    rows, cols = np.nonzero((support > 0) & ~g.adj)
+    if rows.size == 0:
+        return RecommendationOutcome((), ())
+    probs = np.minimum(support[rows, cols] * (1.0 / (n - 1)), 1.0)
     accept_p = cfg.acceptance_probability
     rand = rng.random
     recommended: list[tuple[int, int]] = []
     accepted: list[tuple[int, int]] = []
-    for i in range(2 * n):
-        red_i = i < n
-        # Cross-community followers and friends of i; a node linked both
-        # ways appears twice and counts twice in the support.
-        contacts = [jp for jp in g.out_neighbors(i) if (jp < n) != red_i]
-        contacts += [jp for jp in g.in_neighbors(i) if (jp < n) != red_i]
-        if not contacts:
-            continue  # every pair in this row has zero support
-        contact_outs = [g.out_neighbors(jp) for jp in contacts]
-        out_i = g.out_neighbors(i)
-        targets = range(n, 2 * n) if red_i else range(n)
-        for j in targets:
-            if j in out_i:
-                continue
-            support = 0
-            for out_jp in contact_outs:
-                if j in out_jp:
-                    support += 1
-            if support == 0:
-                continue
-            p = support * inv
-            if p > 1.0:
-                p = 1.0
-            if rand() < p:
-                recommended.append((i, j))
-                if rand() < accept_p:
-                    accepted.append((i, j))
+    for i, j, p in zip(rows.tolist(), cols.tolist(), probs.tolist()):
+        if rand() < p:
+            recommended.append((i, j))
+            if rand() < accept_p:
+                accepted.append((i, j))
     return RecommendationOutcome(tuple(recommended), tuple(accepted))

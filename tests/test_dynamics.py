@@ -82,10 +82,6 @@ def test_protocol_config_validation():
         ProtocolConfig(protocol=Protocol.P2)
     with pytest.raises(ValueError):
         ProtocolConfig(protocol=Protocol.P3)
-    with pytest.raises(ValueError):
-        ProtocolConfig(
-            protocol=Protocol.P2, recommender=RecommenderConfig(0.5), gamma=1.0
-        )
 
 
 # --- protocol runs -------------------------------------------------------------

@@ -264,17 +264,6 @@ def test_cli_run_config(tmp_path, capsys):
     assert (tmp_path / "out" / "eq.summary.json").exists()
 
 
-def test_cli_threads_flag(tmp_path, capsys):
-    cfg = tmp_path / "scenarios.txt"
-    cfg.write_text(
-        "[scenario a]\nkind = nash\nc = 0.8\n[scenario b]\nkind = nash\nc = 0.9\n"
-    )
-    code = main(["run", str(cfg), "--out-dir", str(tmp_path / "out"), "--threads", "2"])
-    assert code == 0
-    assert (tmp_path / "out" / "a.summary.json").exists()
-    assert (tmp_path / "out" / "b.summary.json").exists()
-
-
 def test_cli_config_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("[scenario x]\nkind = protocol9\n")
@@ -289,6 +278,27 @@ def test_cli_missing_config_is_config_error(tmp_path):
 def test_cli_bad_flag_value_is_config_error(tmp_path, capsys):
     code = main(["protocol2", "--n", "abc", "--out-dir", str(tmp_path)])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["protocol2", "--c", "1.5"], "c"),
+        (["protocol2", "--c", "inf"], "c"),
+        (["protocol2", "--n", "0"], "n"),
+        (["nash", "--c", "nan"], "c"),
+        (["opinion", "--horizon", "0"], "horizon"),
+        (["sweep-c", "--seeds", "0"], "seeds"),
+        (["bench", "--repeats", "0"], "repeats"),
+    ],
+)
+def test_cli_out_of_range_value_is_config_error(tmp_path, capsys, argv, key):
+    # these exited 1, or wrote NaN into the summary, before they were
+    # checked as configuration
+    code = main(argv + ["--out-dir", str(tmp_path)])
+    assert code == 2
+    assert f"bad value for {key!r}" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.summary.json"))
 
 
 def test_cli_env_var_out_dir(tmp_path, capsys, monkeypatch):

@@ -15,11 +15,9 @@ from edgegame.game import (
     expected_utility_rec,
     iterated_dominance,
     nash_equilibrium,
-    realized_utility_base,
-    realized_utility_rec,
     realized_utility_rec_all,
 )
-from edgegame.graph import DirectedGraph
+from edgegame.graph import DirectedGraph, two_hop_support
 
 # --- brute-force oracles working from raw indicator definitions -----------
 
@@ -76,14 +74,17 @@ def random_edges(n, density, rng):
 # --- realized utilities -----------------------------------------------------
 
 
+def utilities(edges, n, c):
+    return realized_utility_rec_all(DirectedGraph(n, edges).adj, n, c)
+
+
 def test_realized_base_examples():
+    # with acceptance 0 only the base utility remains
     n = 4
     # i=0 has 3 cross followers (4,5,6 follow it) and 1 cross friend (7)
-    g = DirectedGraph(n, [(0, 4), (0, 5), (0, 6), (7, 0)])
-    assert realized_utility_base(g, 0) == 2
+    assert utilities([(0, 4), (0, 5), (0, 6), (7, 0)], n, 0.0)[0] == 2
     # fully in-group graph: utility 0 for everyone
-    seg = DirectedGraph(2, [(0, 1), (1, 0), (2, 3), (3, 2)])
-    assert all(realized_utility_base(seg, i) == 0 for i in range(4))
+    assert np.all(utilities([(0, 1), (1, 0), (2, 3), (3, 2)], 2, 0.0) == 0)
 
 
 def test_realized_base_matches_oracle():
@@ -91,19 +92,18 @@ def test_realized_base_matches_oracle():
     for _ in range(40):
         n = int(rng.integers(1, 6))  # 2n <= 10
         edges = random_edges(n, float(rng.random()) * 0.6, rng)
-        g = DirectedGraph(n, edges)
+        vec = utilities(edges, n, 0.0)
         for i in range(2 * n):
-            assert realized_utility_base(g, i) == oracle_base(edges, n, i)
+            assert vec[i] == oracle_base(edges, n, i)
 
 
 def test_realized_rec_degenerate_cases():
-    g = DirectedGraph(3)
-    assert realized_utility_rec(g, 0, 0.8) == 0.0
+    assert np.all(utilities([], 3, 0.8) == 0.0)
     rng = np.random.default_rng(1)
     edges = random_edges(3, 0.4, rng)
-    g = DirectedGraph(3, edges)
+    vec = utilities(edges, 3, 0.0)
     for i in range(6):
-        assert realized_utility_rec(g, i, 0.0) == float(realized_utility_base(g, i))
+        assert vec[i] == float(oracle_base(edges, 3, i))
 
 
 def test_realized_rec_matches_oracle():
@@ -111,24 +111,34 @@ def test_realized_rec_matches_oracle():
     for _ in range(30):
         n = int(rng.integers(1, 5))  # 2n <= 8
         edges = random_edges(n, float(rng.random()) * 0.6, rng)
-        g = DirectedGraph(n, edges)
         c = float(rng.random())
+        vec = utilities(edges, n, c)
         for i in range(2 * n):
-            assert realized_utility_rec(g, i, c) == pytest.approx(
-                oracle_rec(edges, n, i, c), abs=1e-12
-            )
+            assert vec[i] == pytest.approx(oracle_rec(edges, n, i, c), abs=1e-12)
 
 
 def test_vectorized_matches_per_node():
+    # The dense products against per-node sums over two_hop_support, the
+    # support the recommender pass reads: the two share no code.
     rng = np.random.default_rng(33)
     for _ in range(15):
         n = int(rng.integers(2, 12))
         edges = random_edges(n, 0.3, rng)
         g = DirectedGraph(n, edges)
         c = float(rng.random())
-        vec = realized_utility_rec_all(g.to_adjacency(), n, c)
+        vec = realized_utility_rec_all(g.adj, n, c)
+        support = two_hop_support(g.adj, n)
         for i in range(2 * n):
-            assert vec[i] == pytest.approx(realized_utility_rec(g, i, c), abs=1e-9)
+            expected_links = sum(support[i, j] for j in range(2 * n) if not g.has_edge(i, j))
+            bridging = sum(
+                1
+                for j in range(2 * n)
+                if (j < n) != (i < n) and g.has_edge(j, i)
+                for ip in range(2 * n)
+                if (ip < n) == (i < n) and g.has_edge(i, ip) and not g.has_edge(j, ip)
+            )
+            expected = oracle_base(edges, n, i) + c / (n - 1) * (expected_links + bridging)
+            assert vec[i] == pytest.approx(expected, abs=1e-9)
 
 
 # --- expected utilities ------------------------------------------------------

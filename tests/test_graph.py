@@ -7,16 +7,15 @@ import pytest
 
 from edgegame.graph import (
     DirectedGraph,
-    d_indicator,
     inter_edge_count,
-    s_indicator,
     segregation_measure,
     segregation_value,
-    two_hop_count,
+    two_hop_support,
 )
+from edgegame.recommender import recommendation_probability
 
 # Independent oracles: work from a raw edge set and the index-range
-# community rule, never through the graph's incremental counters.
+# community rule, never through the graph's adjacency.
 
 
 def oracle_d(edges, n, i, j):
@@ -38,6 +37,25 @@ def oracle_two_hop(edges, n, i, j):
     return total
 
 
+def cross_mask(n):
+    blue = np.arange(2 * n) >= n
+    return blue[:, None] != blue[None, :]
+
+
+def d_matrix(g):
+    """Cross-edge indicators d_ij: the cross blocks of the adjacency."""
+    return g.adj & cross_mask(g.n_per_community)
+
+
+def s_matrix(g):
+    """In-group edge indicators s_ij: the diagonal blocks of the adjacency."""
+    return g.adj & ~cross_mask(g.n_per_community)
+
+
+def support(g, i, j):
+    return int(two_hop_support(g.adj, g.n_per_community)[i, j])
+
+
 def random_graph(n, density, rng):
     edges = set()
     for u in range(2 * n):
@@ -50,31 +68,33 @@ def random_graph(n, density, rng):
 def test_d_indicator_examples():
     n = 2  # r0=0, r1=1, b0=2, b1=3
     g = DirectedGraph(n, [(0, 2)])
-    assert d_indicator(g, 0, 2) == 1
+    assert d_matrix(g)[0, 2]
     g2 = DirectedGraph(n, [(0, 1)])
-    assert d_indicator(g2, 0, 1) == 0
+    assert not d_matrix(g2)[0, 1]
     g3 = DirectedGraph(n)
-    assert d_indicator(g3, 0, 2) == 0
+    assert not d_matrix(g3)[0, 2]
 
 
 def test_s_indicator_examples():
     n = 2
     g = DirectedGraph(n, [(0, 1)])
-    assert s_indicator(g, 0, 1) == 1
+    assert s_matrix(g)[0, 1]
     g2 = DirectedGraph(n, [(0, 2)])
-    assert s_indicator(g2, 0, 2) == 0
+    assert not s_matrix(g2)[0, 2]
     # directed: the reverse edge is absent
-    assert s_indicator(g, 1, 0) == 0
+    assert not s_matrix(g)[1, 0]
 
 
 def test_indicator_argument_errors():
     g = DirectedGraph(2)
     with pytest.raises(ValueError):
-        d_indicator(g, 0, 4)
+        g.has_edge(0, 4)
     with pytest.raises(ValueError):
-        s_indicator(g, -1, 0)
+        g.has_edge(-1, 0)
     with pytest.raises(ValueError):
-        d_indicator(g, 1, 1)
+        g.community(4)
+    with pytest.raises(ValueError):
+        g.add_edge(1, 1)
 
 
 def test_inter_edge_count_examples():
@@ -107,14 +127,14 @@ def test_two_hop_example_graph():
     # n=4: r1=0, r2=1, b1=4, b2=5, b4=7; b2 and b4 follow b1, r2 follows r1,
     # r1 follows b1.
     g = DirectedGraph(4, [(4, 5), (4, 7), (0, 1), (4, 0)])
-    assert two_hop_count(g, 0, 5) == 1
-    assert two_hop_count(g, 0, 7) == 1
-    assert two_hop_count(g, 4, 1) == 1
-    assert two_hop_count(g, 5, 0) == 0
+    assert support(g, 0, 5) == 1
+    assert support(g, 0, 7) == 1
+    assert support(g, 4, 1) == 1
+    assert support(g, 5, 0) == 0
 
 
 def test_two_hop_empty_and_disjoint_counts():
-    assert two_hop_count(DirectedGraph(3), 0, 4) == 0
+    assert support(DirectedGraph(3), 0, 4) == 0
     # j = 9 (blue), friends j' = 4..8 follow into j; i = 0 followed by 3 of
     # them, following 2 others: counts add to 5.
     n = 6
@@ -125,31 +145,41 @@ def test_two_hop_empty_and_disjoint_counts():
     edges |= {(10, 0), (11, 0)}  # i follows these j'
     edges.add((11, 9))
     g = DirectedGraph(n, edges)
-    assert two_hop_count(g, 0, 9) == 5
+    assert support(g, 0, 9) == 5
 
 
-def test_two_hop_same_community_error():
-    g = DirectedGraph(3)
+def test_two_hop_support_is_zero_in_group():
+    # a dense graph: every in-group pair still has zero support, and asking
+    # for its proposal probability is an error
+    n = 3
+    g = DirectedGraph(n, [(u, v) for u in range(2 * n) for v in range(2 * n) if u != v])
+    assert not np.any(two_hop_support(g.adj, n)[~cross_mask(n)])
+    g = DirectedGraph(n)
     with pytest.raises(ValueError):
-        two_hop_count(g, 0, 1)
+        recommendation_probability(g, 0, 1)
 
 
 def test_two_hop_double_counts_mutual_links():
     # j' both follows i and is followed by i: contributes 2.
     g = DirectedGraph(2, [(0, 2), (2, 0), (2, 3)])
-    assert two_hop_count(g, 0, 3) == 2
+    assert support(g, 0, 3) == 2
 
 
 def test_two_hop_matches_oracle_on_random_graphs():
     rng = np.random.default_rng(2024)
     for _ in range(60):
-        n = int(rng.integers(2, 5))  # 2n <= 8
+        n = int(rng.integers(1, 5))  # 2n <= 8
         edges, g = random_graph(n, float(rng.random()) * 0.7, rng)
+        got = two_hop_support(g.adj, n)
         for i in range(2 * n):
             for j in range(2 * n):
                 if (i < n) == (j < n):
-                    continue
-                assert two_hop_count(g, i, j) == oracle_two_hop(edges, n, i, j)
+                    assert got[i, j] == 0
+                else:
+                    assert got[i, j] == oracle_two_hop(edges, n, i, j)
+        # the dense matrix-product form that realized_utility_rec_all uses
+        d = d_matrix(g).astype(np.int64)
+        assert np.array_equal(got, (d + d.T) @ s_matrix(g))
 
 
 def test_inter_count_matches_indicator_sum():
@@ -158,7 +188,7 @@ def test_inter_count_matches_indicator_sum():
         n = int(rng.integers(1, 7))  # 2n <= 12
         edges, g = random_graph(n, float(rng.random()) * 0.6, rng)
         total = sum(
-            d_indicator(g, i, j)
+            oracle_d(edges, n, i, j)
             for i in range(2 * n)
             for j in range(2 * n)
             if i != j
@@ -170,12 +200,14 @@ def test_indicators_are_exclusive():
     rng = np.random.default_rng(11)
     for _ in range(20):
         n = int(rng.integers(2, 5))
-        _, g = random_graph(n, 0.5, rng)
+        edges, g = random_graph(n, 0.5, rng)
+        d, s = d_matrix(g), s_matrix(g)
+        assert not np.any(d & s)
+        assert np.count_nonzero(d | s) == g.num_edges
         for i in range(2 * n):
             for j in range(2 * n):
-                if i == j:
-                    continue
-                assert d_indicator(g, i, j) + s_indicator(g, i, j) <= 1
+                assert d[i, j] == oracle_d(edges, n, i, j)
+                assert s[i, j] == oracle_s(edges, n, i, j)
 
 
 def test_segregation_monotonicity_under_edge_addition():
@@ -228,6 +260,16 @@ def test_dump_format_and_round_trip():
 def test_adjacency_round_trip():
     rng = np.random.default_rng(3)
     _, g = random_graph(3, 0.4, rng)
-    back = DirectedGraph.from_adjacency(g.to_adjacency(), 3)
+    back = DirectedGraph.from_adjacency(g.adj.astype(np.int8), 3)
+    assert back.adj.dtype == bool
     assert back.sorted_edges() == g.sorted_edges()
     assert back.inter_edges == g.inter_edges
+    # from_adjacency copies: the source array and the graph stay independent
+    src = g.adj.copy()
+    copy = DirectedGraph.from_adjacency(src, 3)
+    copy.adj[:] = ~copy.adj
+    assert np.array_equal(src, g.adj)
+    with pytest.raises(ValueError):
+        DirectedGraph.from_adjacency(np.eye(6, dtype=bool), 3)
+    with pytest.raises(ValueError):
+        DirectedGraph.from_adjacency(np.zeros((5, 5), dtype=bool), 3)

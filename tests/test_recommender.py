@@ -4,14 +4,19 @@ import numpy as np
 import pytest
 
 from edgegame.blockmodel import StrategyPair, block_matrix, sample_snapshot
-from edgegame.graph import DirectedGraph, two_hop_count
+from edgegame.graph import DirectedGraph, two_hop_support
 from edgegame.recommender import (
+    RecommendationOutcome,
     RecommenderConfig,
     recommendation_probability,
     run_recommender,
 )
 
 EXAMPLE_EDGES = [(4, 5), (4, 7), (0, 1), (4, 0)]  # n=4 picture graph
+
+
+def support(g, i, j):
+    return int(two_hop_support(g.adj, g.n_per_community)[i, j])
 
 
 def example_graph():
@@ -21,7 +26,7 @@ def example_graph():
 def test_probability_basic_values():
     # one supporting contact at n=3 gives 1/2
     g = DirectedGraph(3, [(3, 4), (3, 0)])
-    assert two_hop_count(g, 0, 4) == 1
+    assert support(g, 0, 4) == 1
     assert recommendation_probability(g, 0, 4) == 0.5
     # zero support
     assert recommendation_probability(DirectedGraph(3), 0, 4) == 0.0
@@ -33,11 +38,11 @@ def test_probability_saturates_at_one():
     edges = [(jp, 7) for jp in range(4, 7)]
     edges += [(0, jp) for jp in range(4, 7)]
     g = DirectedGraph(n, edges)
-    assert two_hop_count(g, 0, 7) == n - 1
+    assert support(g, 0, 7) == n - 1
     assert recommendation_probability(g, 0, 7) == 1.0
     # both directions double the support; still clamped to 1
     g.add_edges((jp, 0) for jp in range(4, 7))
-    assert two_hop_count(g, 0, 7) == 2 * (n - 1)
+    assert support(g, 0, 7) == 2 * (n - 1)
     assert recommendation_probability(g, 0, 7) == 1.0
 
 
@@ -89,14 +94,14 @@ def test_outcome_invariants_on_random_graphs():
     for _ in range(25):
         n = int(rng.integers(2, 8))
         g = sample_snapshot(block_matrix(StrategyPair(0.6, 0.7), n), n, rng)
-        before = set(g.iter_edges())
+        before = set(g.sorted_edges())
         out = run_recommender(g, RecommenderConfig(0.5), rng)
         for u, v in out.recommended:
             assert (u < n) != (v < n)
             assert u != v
             assert (u, v) not in before
         assert set(out.accepted) <= set(out.recommended)
-        assert set(g.iter_edges()) == before  # pass never mutates the graph
+        assert set(g.sorted_edges()) == before  # pass never mutates the graph
 
 
 def test_empirical_acceptance_rate():
@@ -131,13 +136,13 @@ def test_probability_monotone_in_added_support():
         if g.has_edge(i, j):
             continue
         before = recommendation_probability(g, i, j)
-        count_before = two_hop_count(g, i, j)
+        count_before = support(g, i, j)
         u = int(rng.integers(0, 2 * n))
         v = int(rng.integers(0, 2 * n))
         if u == v or g.has_edge(u, v) or (u, v) == (i, j):
             continue
         g.add_edge(u, v)
-        if two_hop_count(g, i, j) > count_before:
+        if support(g, i, j) > count_before:
             assert recommendation_probability(g, i, j) >= before
 
 
@@ -159,3 +164,50 @@ def test_outcome_serialization():
     acc_lines = lines[split + 1 :]
     assert rec_lines == [f"{u} {v}" for u, v in out.recommended]
     assert acc_lines == [f"{u} {v}" for u, v in out.accepted]
+
+
+def reference_run_recommender(g, cfg, rng):
+    """The pass as a plain lexicographic loop over cross pairs, reading edges via has_edge."""
+    n = g.n_per_community
+    inv = 1.0 / (n - 1) if n > 1 else 0.0
+    recommended, accepted = [], []
+    for i in range(2 * n):
+        others = range(n, 2 * n) if i < n else range(n)
+        # a contact linked both ways is listed twice and counts twice
+        contacts = [jp for jp in others if g.has_edge(i, jp)]
+        contacts += [jp for jp in others if g.has_edge(jp, i)]
+        for j in others:
+            if g.has_edge(i, j):
+                continue
+            count = sum(1 for jp in contacts if g.has_edge(jp, j))
+            if count == 0:
+                continue
+            if rng.random() < min(count * inv, 1.0):
+                recommended.append((i, j))
+                if rng.random() < cfg.acceptance_probability:
+                    accepted.append((i, j))
+    return RecommendationOutcome(tuple(recommended), tuple(accepted))
+
+
+def test_pass_matches_reference_loop_draw_for_draw():
+    meta = np.random.default_rng(404)
+    graphs = [DirectedGraph(1), DirectedGraph(5), example_graph()]
+    for _ in range(60):
+        n = int(meta.integers(1, 13))
+        if meta.random() < 0.5:
+            pair = StrategyPair(1.0 - meta.random(), 1.0 - meta.random())  # p in (0, 1]
+            graphs.append(sample_snapshot(block_matrix(pair, n), n, meta))
+        else:
+            # uniform density: dense cross blocks, supports above n - 1
+            density = meta.random()
+            edges = [(u, v) for u in range(2 * n) for v in range(2 * n)
+                     if u != v and meta.random() < density]
+            graphs.append(DirectedGraph(n, edges))
+    for k, g in enumerate(graphs):
+        cfg = RecommenderConfig(float(meta.choice([0.0, 1.0, meta.random()])))
+        fast_rng, slow_rng = np.random.default_rng(k), np.random.default_rng(k)
+        fast = run_recommender(g, cfg, fast_rng)
+        slow = reference_run_recommender(g, cfg, slow_rng)
+        assert fast.recommended == slow.recommended, k
+        assert fast.accepted == slow.accepted, k
+        assert fast_rng.random() == slow_rng.random(), k
