@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .experiments import (
-    SCHEMAS,
+    KINDS,
     ConfigError,
     ScenarioSpec,
     parse_config,
@@ -32,7 +32,7 @@ def _add_kind_parser(subparsers, kind: str) -> None:
     sub.add_argument("--name", default=kind, help="scenario name (file stem)")
     sub.add_argument("--seed", type=int, default=None, help="master seed")
     sub.add_argument("--out-dir", default=None, help="output directory")
-    for key in SCHEMAS[kind]:
+    for key in KINDS[kind].schema:
         sub.add_argument(f"--{key.replace('_', '-')}", dest=key, default=None, metavar="V")
     sub.set_defaults(kind=kind)
 
@@ -43,7 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Two-community edge-formation game simulator and analysis runner.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for kind in SCHEMAS:
+    for kind in KINDS:
         _add_kind_parser(subparsers, kind)
     run_p = subparsers.add_parser("run", help="run every scenario in a config file")
     run_p.add_argument("config", help="path to the scenario config file")
@@ -61,7 +61,7 @@ def _out_dir(flag_value: str | None) -> str:
 
 def _spec_from_args(args: argparse.Namespace) -> ScenarioSpec:
     raw = {}
-    for key in SCHEMAS[args.kind]:
+    for key in KINDS[args.kind].schema:
         value = getattr(args, key)
         if value is not None:
             raw[key] = str(value)

@@ -10,7 +10,6 @@ that may only jump every ``holding_time`` steps (P3).
 
 from __future__ import annotations
 
-import copy
 import csv
 import enum
 from dataclasses import dataclass
@@ -40,9 +39,11 @@ class SemiMarkovChain:
     """Finite-state acceptance process that can jump only every T_h steps.
 
     Holds ``states`` (acceptance probabilities) and a row-stochastic
-    transition matrix. At times t with (t+1) mod holding_time == 0 the
-    next state is drawn from the current row; at all other times the
-    state is kept. Transitions never depend on the players' actions.
+    transition matrix, but not the current state: ``step_semi_markov``
+    takes a state index and returns the next one. At times t with
+    (t+1) mod holding_time == 0 the next state is drawn from the current
+    row; at all other times the state is kept. Transitions never depend on
+    the players' actions.
     """
 
     def __init__(
@@ -73,40 +74,24 @@ class SemiMarkovChain:
         if not 0 <= initial_state < k:
             raise ValueError(f"initial_state {initial_state} out of range")
         self.initial_state = int(initial_state)
-        self.current_state = self.initial_state
         self._cum = np.cumsum(self.transition, axis=1)
 
-    @property
-    def value(self) -> float:
-        return self.states[self.current_state]
-
-    def reset(self) -> None:
-        self.current_state = self.initial_state
-
-    def copy(self) -> "SemiMarkovChain":
-        return copy.deepcopy(self)
-
     def __repr__(self) -> str:
-        return (
-            f"SemiMarkovChain(states={self.states}, holding_time={self.holding_time}, "
-            f"state={self.current_state})"
-        )
+        return f"SemiMarkovChain(states={self.states}, holding_time={self.holding_time})"
 
 
-def step_semi_markov(chain: SemiMarkovChain, t: int, rng: np.random.Generator) -> float:
-    """Advance the chain from time t to t+1 and return the new acceptance value.
+def step_semi_markov(chain: SemiMarkovChain, state: int, t: int, rng: np.random.Generator) -> int:
+    """Advance the chain from ``state`` at time t to t+1 and return the next state index.
 
     Exactly one uniform is consumed at each jump instant (even when the
     row is degenerate), none otherwise.
     """
     if t < 0:
         raise ValueError("t must be >= 0")
-    if (t + 1) % chain.holding_time == 0:
-        u = rng.random()
-        row_cum = chain._cum[chain.current_state]
-        nxt = int(np.searchsorted(row_cum, u, side="right"))
-        chain.current_state = min(nxt, len(chain.states) - 1)
-    return chain.value
+    if (t + 1) % chain.holding_time != 0:
+        return state
+    nxt = int(np.searchsorted(chain._cum[state], rng.random(), side="right"))
+    return min(nxt, len(chain.states) - 1)
 
 
 @dataclass
@@ -166,15 +151,14 @@ def run_protocol(cfg: ProtocolConfig) -> list[TraceRecord]:
 
     p_r = 1.0 - init_rng.random()
     p_b = 1.0 - init_rng.random()
-    chain = cfg.chain.copy() if cfg.chain is not None else None
-    if chain is not None:
-        chain.reset()
+    chain = cfg.chain
+    state = chain.initial_state if chain is not None else None
     n = cfg.n_per_community
 
     records: list[TraceRecord] = []
     for t in range(cfg.horizon + 1):
         if chain is not None:
-            acceptance = chain.value
+            acceptance = chain.states[state]
         elif cfg.recommender is not None:
             acceptance = cfg.recommender.acceptance_probability
         else:
@@ -212,7 +196,7 @@ def run_protocol(cfg: ProtocolConfig) -> list[TraceRecord]:
             )
         )
         if chain is not None:
-            step_semi_markov(chain, t, chain_rng)
+            state = step_semi_markov(chain, state, t, chain_rng)
     return records
 
 

@@ -1,8 +1,11 @@
 """Scenario definitions, config parsing, and batch execution.
 
 A plain-text config holds one ``[scenario <name>]`` section per run with
-``key = value`` lines. The schema is closed: unknown keys, bad types, and
-missing required keys are hard errors that name the offending line. Each
+``key = value`` lines. The schema is closed: unknown kinds, unknown keys
+and bad values are hard errors that name the offending line, and keys left
+out take their defaults. Each scenario kind is declared once, by the
+``_declares`` decorator on its runner, which names the kind's keys; the
+parser, the CLI and ``run_scenario`` all read that table, ``KINDS``. Each
 scenario writes a data CSV plus a JSON summary into the output directory;
 re-running a scenario with the same spec reproduces the files bit for bit
 (the one exception is the benchmark's wall-time column).
@@ -17,7 +20,7 @@ import re
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -25,7 +28,6 @@ from .dynamics import (
     Protocol,
     ProtocolConfig,
     SemiMarkovChain,
-    TraceRecord,
     format_float,
     run_protocol,
     verify_myopic_optimality,
@@ -43,8 +45,6 @@ class ConfigError(Exception):
 
 
 # --- schema ---------------------------------------------------------------
-
-_REQUIRED = object()
 
 
 def _parse_bool(text: str) -> bool:
@@ -72,7 +72,10 @@ def _parse_ints(text: str) -> tuple[int, ...]:
 
 
 def _parse_matrix(text: str) -> tuple[tuple[float, ...], ...]:
-    return tuple(tuple(_parse_float(x) for x in row.split(",")) for row in text.split(";"))
+    rows = tuple(_parse_floats(row) for row in text.split(";"))
+    if len({len(row) for row in rows}) > 1:
+        raise ValueError(f"matrix rows differ in length: {text.strip()!r}")
+    return rows
 
 
 _PARSERS: dict[str, Callable[[str], object]] = {
@@ -88,53 +91,6 @@ _PARSERS: dict[str, Callable[[str], object]] = {
 _COMMON_KEYS: dict[str, tuple[str, object]] = {
     "seed": ("int", 0),
     "out": ("str", None),
-}
-
-# Per-kind keys: name -> (type, default). Defaults for protocol2 are the
-# headline desk-scale setting (n=20, horizon=20, c=0.8).
-SCHEMAS: dict[str, dict[str, tuple[str, object]]] = {
-    "nash": {"c": ("float", 0.8)},
-    "protocol1": {"n": ("int", 20), "horizon": ("int", 20)},
-    "protocol2": {"n": ("int", 20), "horizon": ("int", 20), "c": ("float", 0.8)},
-    "protocol3": {
-        "n": ("int", 20),
-        "horizon": ("int", 1000),
-        "c_states": ("floats", (0.6, 0.8, 1.0)),
-        "transition": ("matrix", None),
-        "holding_time": ("int", 100),
-        "initial_state": ("int", 0),
-    },
-    "sweep_c": {
-        "n": ("int", 20),
-        "horizon": ("int", 20),
-        "c_grid": ("floats", (0.6, 0.7, 0.8, 0.9, 1.0)),
-        "seeds": ("int", 50),
-    },
-    "opinion": {
-        "n_agents": ("int", 100),
-        "radius": ("float", 0.175),
-        "learning_rate": ("float", 0.05),
-        "exploration": ("float", 0.1),
-        "c": ("float", 0.9),
-        "with_recommender": ("bool", True),
-        "horizon": ("int", 20000),
-        "record_every": ("int", 100),
-    },
-    "bench": {
-        "sizes": ("ints", (100, 200, 400, 800)),
-        "p": ("float", 0.75),
-        "repeats": ("int", 3),
-        "c": ("float", 0.8),
-    },
-    "verify_myopic": {
-        "c_states": ("floats", (0.6, 0.9)),
-        "transition": ("matrix", ((0.5, 0.5), (0.5, 0.5))),
-        "holding_time": ("int", 1),
-        "initial_state": ("int", 0),
-        "gamma": ("float", 0.9),
-        "grid": ("int", 201),
-        "horizon": ("int", 50),
-    },
 }
 
 
@@ -190,14 +146,40 @@ class RunSummary:
         return payload
 
 
+class ScenarioKind(NamedTuple):
+    """A kind's keys, name -> (type, default), and its runner.
+
+    ``run(params, csv_path, summary)`` writes ``csv_path`` and fills
+    ``summary``, which also carries the run's kind and seed.
+    """
+
+    schema: dict[str, tuple[str, object]]
+    run: Callable[[dict, Path, RunSummary], None]
+
+
+# Every scenario kind, in the order the CLI lists them; filled by ``_declares``.
+KINDS: dict[str, ScenarioKind] = {}
+
+
+def _declares(**schemas: dict[str, tuple[str, object]]):
+    """Declare the decorated runner as the runner of each named kind, with that kind's keys."""
+
+    def register(runner):
+        for kind, schema in schemas.items():
+            KINDS[kind] = ScenarioKind(schema, runner)
+        return runner
+
+    return register
+
+
 def validate_params(kind: str, raw: dict[str, str], lines: dict[str, int] | None = None) -> dict:
-    """Type-check raw string params against the schema for ``kind``."""
-    if kind not in SCHEMAS:
-        raise ConfigError(f"unknown scenario kind {kind!r}; known: {sorted(SCHEMAS)}")
-    schema = dict(_COMMON_KEYS)
-    schema.update(SCHEMAS[kind])
+    """Type-check raw string params against the keys of ``kind``; absent keys take their defaults."""
     lines = lines or {}
-    params: dict = {}
+    if kind not in KINDS:
+        where = f" (line {lines['kind']})" if "kind" in lines else ""
+        raise ConfigError(f"unknown scenario kind {kind!r}{where}; known: {sorted(KINDS)}")
+    schema = {**_COMMON_KEYS, **KINDS[kind].schema}
+    params = {key: default for key, (_, default) in schema.items()}
     for key, text in raw.items():
         where = f" (line {lines[key]})" if key in lines else ""
         if key not in schema:
@@ -207,12 +189,6 @@ def validate_params(kind: str, raw: dict[str, str], lines: dict[str, int] | None
             params[key] = _PARSERS[type_name](text)
         except ValueError as exc:
             raise ConfigError(f"bad value for {key!r}: {exc}{where}") from None
-    for key, (_, default) in schema.items():
-        if key in params:
-            continue
-        if default is _REQUIRED:
-            raise ConfigError(f"missing required key {key!r} for kind {kind!r}")
-        params[key] = default
     return params
 
 
@@ -236,11 +212,6 @@ def parse_config(text: str) -> list[ScenarioSpec]:
         if "kind" not in raw:
             raise ConfigError(f"scenario {name!r} (line {section_line}) is missing 'kind'")
         kind = raw.pop("kind").strip()
-        lines.pop("kind", None)
-        if kind not in SCHEMAS:
-            raise ConfigError(
-                f"unknown scenario kind {kind!r} in scenario {name!r} (line {section_line})"
-            )
         params = validate_params(kind, raw, lines)
         out = params.pop("out")
         specs.append(ScenarioSpec(name=name, kind=kind, params=params, output_path=out))
@@ -304,6 +275,12 @@ def _at_least_one(key: str, values) -> None:
         raise ConfigError(f"bad value for {key!r}: must be >= 1")
 
 
+def _distinct(key: str, values) -> None:
+    # results are keyed by these values, so a repeat would overwrite one
+    if len(set(values)) < len(values):
+        raise ConfigError(f"bad value for {key!r}: values must not repeat")
+
+
 def _uniform_matrix(k: int) -> tuple[tuple[float, ...], ...]:
     return tuple(tuple(1.0 / k for _ in range(k)) for _ in range(k))
 
@@ -323,15 +300,6 @@ def build_chain(params: dict) -> SemiMarkovChain:
     )
 
 
-def _trace_deviation(records: list[TraceRecord], reference_of_c) -> float:
-    tail = [r for r in records if r.t > records[-1].t // 2]
-    dev = 0.0
-    for r in tail:
-        ref = reference_of_c(r)
-        dev = max(dev, abs(r.p_r - ref), abs(r.p_b - ref))
-    return dev
-
-
 def _write_rows(path: Path, header: tuple[str, ...], rows: list[list]) -> None:
     with path.open("w", encoding="utf-8", newline="") as fp:
         writer = csv.writer(fp, lineterminator="\n")
@@ -339,161 +307,221 @@ def _write_rows(path: Path, header: tuple[str, ...], rows: list[list]) -> None:
         writer.writerows(rows)
 
 
+# Runners call edgegame's functions through this module's globals at call
+# time, never through references kept at import, so that rebinding a name
+# here (as a tracer does) reaches every scenario.
+
+
+@_declares(nash={"c": ("float", 0.8)})
+def _nash(params: dict, csv_path: Path, summary: RunSummary) -> None:
+    c = params["c"]
+    result = _checked(nash_equilibrium, {"acceptance": "c"}, acceptance=c)
+    summary.final_p_r = result.strategy.p_r
+    summary.final_p_b = result.strategy.p_b
+    summary.reference_p = result.strategy.p_r
+    summary.max_deviation = 0.0
+    summary.extras = {"regime": result.regime.value, "c": c}
+    rows: list[list] = []
+    if result.regime.value == "integration":
+        for it, (lo, hi) in enumerate(iterated_dominance(c, 60), start=1):
+            rows.append([it, format_float(lo), format_float(hi)])
+    else:
+        rows.append([1, format_float(1.0), format_float(1.0)])
+    _write_rows(csv_path, ("iteration", "b_low", "b_high"), rows)
+
+
+# Defaults for protocol2 are the headline desk-scale setting (n=20,
+# horizon=20, c=0.8).
+@_declares(
+    protocol1={"n": ("int", 20), "horizon": ("int", 20)},
+    protocol2={"n": ("int", 20), "horizon": ("int", 20), "c": ("float", 0.8)},
+    protocol3={
+        "n": ("int", 20),
+        "horizon": ("int", 1000),
+        "c_states": ("floats", (0.6, 0.8, 1.0)),
+        "transition": ("matrix", None),
+        "holding_time": ("int", 100),
+        "initial_state": ("int", 0),
+    },
+)
+def _protocol(params: dict, csv_path: Path, summary: RunSummary) -> None:
+    cfg = _checked(
+        ProtocolConfig,
+        {"n_per_community": "n"},
+        protocol=Protocol(summary.kind),
+        n_per_community=params["n"],
+        horizon=params["horizon"],
+        recommender=_recommender("c", params["c"]) if "c" in params else None,
+        chain=build_chain(params) if "c_states" in params else None,
+        seed=summary.seed,
+    )
+    records = run_protocol(cfg)
+    with csv_path.open("w", encoding="utf-8", newline="") as fp:
+        write_trace_csv(records, fp)
+    last = records[-1]
+    summary.final_p_r = last.p_r
+    summary.final_p_b = last.p_b
+    summary.final_segregation = last.segregation
+    # The reference of a step is the equilibrium at its acceptance
+    # probability, or full segregation (1) when there is none (protocol1).
+    refs = {
+        c: 1.0 if c is None else nash_equilibrium(c).strategy.p_r
+        for c in {r.acceptance_probability for r in records}
+    }
+    summary.reference_p = refs[last.acceptance_probability]
+    tail = [r for r in records if r.t > last.t // 2]
+    summary.max_deviation = max(
+        abs(p - refs[r.acceptance_probability]) for r in tail for p in (r.p_r, r.p_b)
+    )
+
+
+@_declares(sweep_c={
+    "n": ("int", 20),
+    "horizon": ("int", 20),
+    "c_grid": ("floats", (0.6, 0.7, 0.8, 0.9, 1.0)),
+    "seeds": ("int", 50),
+})
+def _sweep_c(params: dict, csv_path: Path, summary: RunSummary) -> None:
+    _at_least_one("seeds", [params["seeds"]])
+    _distinct("c_grid", params["c_grid"])
+    recommenders = [_recommender("c_grid", c) for c in params["c_grid"]]
+    rows = []
+    tails = {}
+    for c_idx, (c, recommender) in enumerate(zip(params["c_grid"], recommenders)):
+        per_seed = []
+        for rep in range(params["seeds"]):
+            cfg = _checked(
+                ProtocolConfig,
+                {"n_per_community": "n"},
+                protocol=Protocol.P2,
+                n_per_community=params["n"],
+                horizon=params["horizon"],
+                recommender=recommender,
+                seed=child_seed(summary.seed, "sweep", c_idx, rep),
+            )
+            records = run_protocol(cfg)
+            tail = [r.segregation for r in records if r.t > records[-1].t // 2]
+            per_seed.append(float(np.mean(tail)))
+        tails[c] = float(np.mean(per_seed))
+        ref = nash_equilibrium(c).strategy.p_r
+        rows.append([format_float(c), format_float(tails[c]), format_float(ref)])
+    _write_rows(csv_path, ("c", "mean_tail_segregation", "nash_p"), rows)
+    summary.extras = {"mean_tail_segregation": {format_float(c): v for c, v in tails.items()}}
+
+
+@_declares(opinion={
+    "n_agents": ("int", 100),
+    "radius": ("float", 0.175),
+    "learning_rate": ("float", 0.05),
+    "exploration": ("float", 0.1),
+    "c": ("float", 0.9),
+    "with_recommender": ("bool", True),
+    "horizon": ("int", 20000),
+    "record_every": ("int", 100),
+})
+def _opinion(params: dict, csv_path: Path, summary: RunSummary) -> None:
+    cfg = _checked(
+        OpinionConfig,
+        {"acceptance": "c"},
+        n_agents=params["n_agents"],
+        radius=params["radius"],
+        learning_rate=params["learning_rate"],
+        exploration=params["exploration"],
+        acceptance=params["c"],
+        with_recommender=params["with_recommender"],
+        horizon=params["horizon"],
+        record_every=params["record_every"],
+        seed=summary.seed,
+    )
+    records = run_opinion(cfg)
+    with csv_path.open("w", encoding="utf-8", newline="") as fp:
+        write_opinion_csv(records, fp)
+    summary.final_segregation = records[-1].segregation
+    summary.extras = {
+        "tail_mean_segregation": tail_mean_segregation(records),
+        "with_recommender": cfg.with_recommender,
+    }
+
+
+@_declares(bench={
+    "sizes": ("ints", (100, 200, 400, 800)),
+    "p": ("float", 0.75),
+    "repeats": ("int", 3),
+    "c": ("float", 0.8),
+})
+def _bench(params: dict, csv_path: Path, summary: RunSummary) -> None:
+    seed = summary.seed
+    sizes = list(params["sizes"])
+    _at_least_one("sizes", sizes)
+    _distinct("sizes", sizes)
+    _at_least_one("repeats", [params["repeats"]])
+    p = params["p"]
+    pair = _checked(StrategyPair, {"p_r": "p", "p_b": "p"}, p_r=p, p_b=p)
+    rec_cfg = _recommender("c", params["c"])
+    graphs = {}
+    outcomes = {}
+    for n in sizes:
+        graphs[n] = sample_snapshot(block_matrix(pair, n), n, substream(seed, "bench", n))
+        # warmup pass doubles as the deterministic outcome record
+        outcomes[n] = run_recommender(graphs[n], rec_cfg, substream(seed, "bench", n, "pass"))
+    # rounds are interleaved across sizes and the per-size minimum kept,
+    # so machine-load swings cannot distort one size's ratio
+    seconds = {n: float("inf") for n in sizes}
+    for _ in range(params["repeats"]):
+        for n in sizes:
+            pass_rng = substream(seed, "bench", n, "pass")
+            start = time.perf_counter()
+            run_recommender(graphs[n], rec_cfg, pass_rng)
+            seconds[n] = min(seconds[n], time.perf_counter() - start)
+    rows = [
+        [n, format_float(seconds[n]), len(outcomes[n].recommended), len(outcomes[n].accepted)]
+        for n in sizes
+    ]
+    _write_rows(csv_path, ("n", "seconds", "recommended", "accepted"), rows)
+    ratios = [seconds[b] / seconds[a] for a, b in zip(sizes, sizes[1:])]
+    summary.extras = {"ratios": [float(format_float(r)) for r in ratios]}
+
+
+@_declares(verify_myopic={
+    "c_states": ("floats", (0.6, 0.9)),
+    "transition": ("matrix", ((0.5, 0.5), (0.5, 0.5))),
+    "holding_time": ("int", 1),
+    "initial_state": ("int", 0),
+    "gamma": ("float", 0.9),
+    "grid": ("int", 201),
+    "horizon": ("int", 50),
+})
+def _verify_myopic(params: dict, csv_path: Path, summary: RunSummary) -> None:
+    chain = build_chain(params)
+    report = _checked(
+        verify_myopic_optimality,
+        {"action_grid_size": "grid"},
+        chain=chain,
+        gamma=params["gamma"],
+        action_grid_size=params["grid"],
+        horizon=params["horizon"],
+    )
+    rows = [
+        [idx, format_float(c), format_float(a)]
+        for idx, (c, a) in enumerate(zip(chain.states, report.myopic_actions))
+    ]
+    _write_rows(csv_path, ("state", "c", "myopic_action"), rows)
+    summary.extras = {
+        "myopic_value": float(format_float(report.myopic_value)),
+        "dp_value": float(format_float(report.dp_value)),
+        "gap": float(format_float(report.gap)),
+    }
+
+
 def run_scenario(spec: ScenarioSpec, out_dir: str | Path = ".") -> RunSummary:
     """Execute one scenario and write its data CSV and JSON summary."""
     t0 = time.perf_counter()
     base = Path(spec.output_path) if spec.output_path else Path(out_dir)
     base.mkdir(parents=True, exist_ok=True)
-    seed = spec.params.get("seed", 0)
-    summary = RunSummary(scenario=spec.name, kind=spec.kind, seed=seed)
+    summary = RunSummary(scenario=spec.name, kind=spec.kind, seed=spec.params.get("seed", 0))
     csv_path = base / f"{spec.name}.csv"
-
-    if spec.kind == "nash":
-        result = _checked(nash_equilibrium, {"acceptance": "c"}, acceptance=spec.params["c"])
-        summary.final_p_r = result.strategy.p_r
-        summary.final_p_b = result.strategy.p_b
-        summary.reference_p = result.strategy.p_r
-        summary.max_deviation = 0.0
-        summary.extras = {"regime": result.regime.value, "c": spec.params["c"]}
-        rows: list[list] = []
-        if result.regime.value == "integration":
-            for it, (lo, hi) in enumerate(iterated_dominance(spec.params["c"], 60), start=1):
-                rows.append([it, format_float(lo), format_float(hi)])
-        else:
-            rows.append([1, format_float(1.0), format_float(1.0)])
-        _write_rows(csv_path, ("iteration", "b_low", "b_high"), rows)
-        summary.files.append(csv_path.name)
-
-    elif spec.kind in ("protocol1", "protocol2", "protocol3"):
-        cfg = _protocol_config(spec.kind, spec.params, seed)
-        records = run_protocol(cfg)
-        with csv_path.open("w", encoding="utf-8", newline="") as fp:
-            write_trace_csv(records, fp)
-        summary.files.append(csv_path.name)
-        last = records[-1]
-        summary.final_p_r = last.p_r
-        summary.final_p_b = last.p_b
-        summary.final_segregation = last.segregation
-        if spec.kind == "protocol1":
-            summary.reference_p = 1.0
-            summary.max_deviation = _trace_deviation(records, lambda r: 1.0)
-        elif spec.kind == "protocol2":
-            ref = nash_equilibrium(spec.params["c"]).strategy.p_r
-            summary.reference_p = ref
-            summary.max_deviation = _trace_deviation(records, lambda r: ref)
-        else:
-            summary.reference_p = nash_equilibrium(last.acceptance_probability).strategy.p_r
-            summary.max_deviation = _trace_deviation(
-                records, lambda r: nash_equilibrium(r.acceptance_probability).strategy.p_r
-            )
-
-    elif spec.kind == "sweep_c":
-        _at_least_one("seeds", [spec.params["seeds"]])
-        recommenders = [_recommender("c_grid", c) for c in spec.params["c_grid"]]
-        rows = []
-        tails = {}
-        for c_idx, (c, recommender) in enumerate(zip(spec.params["c_grid"], recommenders)):
-            per_seed = []
-            for rep in range(spec.params["seeds"]):
-                run_seed = child_seed(seed, "sweep", c_idx, rep)
-                cfg = _checked(
-                    ProtocolConfig,
-                    {"n_per_community": "n"},
-                    protocol=Protocol.P2,
-                    n_per_community=spec.params["n"],
-                    horizon=spec.params["horizon"],
-                    recommender=recommender,
-                    seed=run_seed,
-                )
-                records = run_protocol(cfg)
-                tail = [r.segregation for r in records if r.t > records[-1].t // 2]
-                per_seed.append(float(np.mean(tail)))
-            tails[c] = float(np.mean(per_seed))
-            ref = nash_equilibrium(c).strategy.p_r
-            rows.append([format_float(c), format_float(tails[c]), format_float(ref)])
-        _write_rows(csv_path, ("c", "mean_tail_segregation", "nash_p"), rows)
-        summary.files.append(csv_path.name)
-        summary.extras = {"mean_tail_segregation": {format_float(c): v for c, v in tails.items()}}
-
-    elif spec.kind == "opinion":
-        cfg = _checked(
-            OpinionConfig,
-            {"acceptance": "c"},
-            n_agents=spec.params["n_agents"],
-            radius=spec.params["radius"],
-            learning_rate=spec.params["learning_rate"],
-            exploration=spec.params["exploration"],
-            acceptance=spec.params["c"],
-            with_recommender=spec.params["with_recommender"],
-            horizon=spec.params["horizon"],
-            record_every=spec.params["record_every"],
-            seed=seed,
-        )
-        records = run_opinion(cfg)
-        with csv_path.open("w", encoding="utf-8", newline="") as fp:
-            write_opinion_csv(records, fp)
-        summary.files.append(csv_path.name)
-        summary.final_segregation = records[-1].segregation
-        summary.extras = {
-            "tail_mean_segregation": tail_mean_segregation(records),
-            "with_recommender": cfg.with_recommender,
-        }
-
-    elif spec.kind == "bench":
-        sizes = list(spec.params["sizes"])
-        _at_least_one("sizes", sizes)
-        _at_least_one("repeats", [spec.params["repeats"]])
-        p = spec.params["p"]
-        pair = _checked(StrategyPair, {"p_r": "p", "p_b": "p"}, p_r=p, p_b=p)
-        rec_cfg = _recommender("c", spec.params["c"])
-        graphs = {}
-        outcomes = {}
-        for n in sizes:
-            graphs[n] = sample_snapshot(block_matrix(pair, n), n, substream(seed, "bench", n))
-            # warmup pass doubles as the deterministic outcome record
-            outcomes[n] = run_recommender(graphs[n], rec_cfg, substream(seed, "bench", n, "pass"))
-        # rounds are interleaved across sizes and the per-size minimum kept,
-        # so machine-load swings cannot distort one size's ratio
-        seconds = {n: float("inf") for n in sizes}
-        for _ in range(spec.params["repeats"]):
-            for n in sizes:
-                pass_rng = substream(seed, "bench", n, "pass")
-                start = time.perf_counter()
-                run_recommender(graphs[n], rec_cfg, pass_rng)
-                seconds[n] = min(seconds[n], time.perf_counter() - start)
-        rows = [
-            [n, format_float(seconds[n]), len(outcomes[n].recommended), len(outcomes[n].accepted)]
-            for n in sizes
-        ]
-        _write_rows(csv_path, ("n", "seconds", "recommended", "accepted"), rows)
-        summary.files.append(csv_path.name)
-        ratios = [seconds[b] / seconds[a] for a, b in zip(sizes, sizes[1:])]
-        summary.extras = {"ratios": [float(format_float(r)) for r in ratios]}
-
-    elif spec.kind == "verify_myopic":
-        chain = build_chain(spec.params)
-        report = _checked(
-            verify_myopic_optimality,
-            {"action_grid_size": "grid"},
-            chain=chain,
-            gamma=spec.params["gamma"],
-            action_grid_size=spec.params["grid"],
-            horizon=spec.params["horizon"],
-        )
-        rows = [
-            [idx, format_float(c), format_float(a)]
-            for idx, (c, a) in enumerate(zip(chain.states, report.myopic_actions))
-        ]
-        _write_rows(csv_path, ("state", "c", "myopic_action"), rows)
-        summary.files.append(csv_path.name)
-        summary.extras = {
-            "myopic_value": float(format_float(report.myopic_value)),
-            "dp_value": float(format_float(report.dp_value)),
-            "gap": float(format_float(report.gap)),
-        }
-
-    else:  # pragma: no cover - guarded by validate_params
-        raise ConfigError(f"unknown scenario kind {spec.kind!r}")
+    KINDS[spec.kind].run(spec.params, csv_path, summary)
+    summary.files.append(csv_path.name)
 
     summary.wall_time_s = time.perf_counter() - t0
     summary_path = base / f"{spec.name}.summary.json"
@@ -502,22 +530,6 @@ def run_scenario(spec: ScenarioSpec, out_dir: str | Path = ".") -> RunSummary:
         fp.write("\n")
     summary.files.append(summary_path.name)
     return summary
-
-
-def _protocol_config(kind: str, params: dict, seed: int) -> ProtocolConfig:
-    extra: dict = {"protocol": Protocol(kind)}
-    if kind == "protocol2":
-        extra["recommender"] = _recommender("c", params["c"])
-    elif kind == "protocol3":
-        extra["chain"] = build_chain(params)
-    return _checked(
-        ProtocolConfig,
-        {"n_per_community": "n"},
-        n_per_community=params["n"],
-        horizon=params["horizon"],
-        seed=seed,
-        **extra,
-    )
 
 
 def summary_line(summary: RunSummary) -> str:

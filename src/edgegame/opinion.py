@@ -35,7 +35,6 @@ class OpinionConfig:
     with_recommender: bool = True
     horizon: int = 20_000
     record_every: int = 100
-    materialize_edges: bool = False
     seed: int = 0
 
     def __post_init__(self):
@@ -152,24 +151,6 @@ def step_opinion(state: OpinionState, cfg: OpinionConfig, rng: np.random.Generat
         state.q_plus[i] = (1.0 - alpha) * state.q_plus[i] + alpha * reward
     else:
         state.q_minus[i] = (1.0 - alpha) * state.q_minus[i] + alpha * reward
-    if cfg.materialize_edges and cfg.with_recommender and expressed != listener_opinion:
-        _materialize_links(state, cfg, i, j, expressed, rng)
-
-
-def _materialize_links(
-    state: OpinionState, cfg: OpinionConfig, i: int, j: int, expressed: int, rng: np.random.Generator
-) -> None:
-    # Optional extension, off by default: accepted introductions become
-    # real undirected edges between the speaker and the listener's
-    # like-minded neighbors.
-    nbrs_i = state.neighbors[i]
-    for k in list(state.neighbors[j]):
-        if k == i or state.opinions[k] != expressed or k in nbrs_i:
-            continue
-        if rng.random() < cfg.acceptance:
-            nbrs_i.append(k)
-            state.neighbors[k].append(i)
-            state.edges.append((min(i, k), max(i, k)))
 
 
 @dataclass(frozen=True)

@@ -42,34 +42,30 @@ def test_chain_validation():
 def test_chain_holds_between_jump_instants():
     chain = SemiMarkovChain([0.2, 0.9], [[0.0, 1.0], [1.0, 0.0]], 100)
     rng = np.random.default_rng(0)
-    assert step_semi_markov(chain, 49, rng) == 0.2
-    assert chain.current_state == 0
+    assert step_semi_markov(chain, 0, 49, rng) == 0
+    # no draw between jump instants
+    assert rng.random() == np.random.default_rng(0).random()
 
 
 def test_identity_matrix_is_absorbing():
     chain = SemiMarkovChain([0.2, 0.9], [[1.0, 0.0], [0.0, 1.0]], 100)
     rng = np.random.default_rng(0)
-    assert step_semi_markov(chain, 99, rng) == 0.2
-    assert chain.current_state == 0
+    assert step_semi_markov(chain, 0, 99, rng) == 0
+    # one draw at a jump instant, even from a degenerate row
+    expected = np.random.default_rng(0)
+    expected.random()
+    assert rng.random() == expected.random()
 
 
 def test_permutation_chain_alternates_exactly():
     chain = two_state_chain(holding=10)
     rng = np.random.default_rng(1)
     values = []
+    state = chain.initial_state
     for t in range(40):
-        values.append(chain.value)
-        step_semi_markov(chain, t, rng)
+        values.append(chain.states[state])
+        state = step_semi_markov(chain, state, t, rng)
     assert values == [0.6] * 10 + [0.9] * 10 + [0.6] * 10 + [0.9] * 10
-
-
-def test_chain_copy_does_not_share_state():
-    chain = two_state_chain()
-    clone = chain.copy()
-    rng = np.random.default_rng(2)
-    step_semi_markov(chain, 9, rng)
-    assert chain.current_state == 1
-    assert clone.current_state == 0
 
 
 # --- protocol configs ---------------------------------------------------------
@@ -167,7 +163,8 @@ def test_traces_are_deterministic():
 
 
 def test_rerunning_same_config_object_is_stable():
-    # the chain inside the config must not leak state between runs
+    # the chain inside the config holds no state, so no run leaks into the
+    # next, not even a run of another config that shares the chain
     cfg = ProtocolConfig(
         protocol=Protocol.P3,
         n_per_community=8,
@@ -175,7 +172,9 @@ def test_rerunning_same_config_object_is_stable():
         chain=two_state_chain(holding=10),
         seed=9,
     )
-    assert run_protocol(cfg) == run_protocol(cfg)
+    first = run_protocol(cfg)
+    run_protocol(ProtocolConfig(protocol=Protocol.P3, horizon=15, chain=cfg.chain, seed=10))
+    assert run_protocol(cfg) == first
 
 
 def test_protocol3_tracks_switching_equilibrium():

@@ -5,9 +5,12 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgegame.cli import main
 from edgegame.experiments import (
+    KINDS,
     ConfigError,
     ScenarioSpec,
     parse_config,
@@ -92,6 +95,52 @@ def test_parse_matrix_and_lists():
 def test_validate_params_rejects_unknown_kind():
     with pytest.raises(ConfigError):
         validate_params("nonsense", {})
+
+
+# Derandomized and bounded, so every run tries the same examples quickly.
+FUZZ = settings(derandomize=True, max_examples=100, deadline=None)
+
+# Values near the parsers' edges mixed with arbitrary text.
+VALUE_TEXT = st.one_of(
+    st.text(max_size=12),
+    st.sampled_from(["0", "-1", "0.5", "1e400", "nan", "-inf", "true", "1,2", "1,1", "0.5,0.5;1.0", ";", ","]),
+    st.from_regex(r"[-0-9.,;e ]{0,12}", fullmatch=True),
+)
+
+
+@pytest.mark.parametrize("kind", list(KINDS))
+@FUZZ
+@given(data=st.data())
+def test_any_value_text_parses_or_is_config_error(kind, data):
+    keys = ["seed", "out", *KINDS[kind].schema]
+    raw = data.draw(st.fixed_dictionaries({key: VALUE_TEXT for key in keys}))
+    # one key at a time, since parsing stops at the first bad value
+    for key, text in raw.items():
+        try:
+            validate_params(kind, {key: text})
+        except ConfigError:
+            pass
+
+
+CONFIG_LINE = st.one_of(
+    st.text(max_size=20),
+    st.builds("[scenario {}]".format, st.text(max_size=6)),
+    st.builds("kind = {}".format, st.one_of(st.sampled_from(sorted(KINDS)), st.text(max_size=6))),
+    st.builds(
+        "{} = {}".format,
+        st.sampled_from(sorted({"seed", "out", *(k for kind in KINDS.values() for k in kind.schema)})),
+        VALUE_TEXT,
+    ),
+)
+
+
+@FUZZ
+@given(st.lists(CONFIG_LINE, max_size=8).map("\n".join))
+def test_any_config_text_parses_or_is_config_error(text):
+    try:
+        parse_config(text)
+    except ConfigError:
+        pass
 
 
 # --- scenario execution ----------------------------------------------------------
@@ -290,15 +339,29 @@ def test_cli_bad_flag_value_is_config_error(tmp_path, capsys):
         (["opinion", "--horizon", "0"], "horizon"),
         (["sweep-c", "--seeds", "0"], "seeds"),
         (["bench", "--repeats", "0"], "repeats"),
+        (["sweep-c", "--c-grid", "0.7,0.7", "--seeds", "2", "--n", "6", "--horizon", "6"], "c_grid"),
+        (["bench", "--sizes", "10,10", "--repeats", "1"], "sizes"),
+        (["protocol3", "--c-states", "0.6,0.9", "--transition", "0.5,0.5;1.0"], "transition"),
     ],
 )
 def test_cli_out_of_range_value_is_config_error(tmp_path, capsys, argv, key):
-    # these exited 1, or wrote NaN into the summary, before they were
-    # checked as configuration
+    # these exited 1, wrote NaN into the summary, or kept one of two
+    # results for a repeated value, before they were checked as configuration
     code = main(argv + ["--out-dir", str(tmp_path)])
     assert code == 2
     assert f"bad value for {key!r}" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.summary.json"))
+
+
+@FUZZ
+@given(VALUE_TEXT)
+def test_cli_nash_any_c_exits_0_or_2(tmp_path_factory, c_text):
+    out = tmp_path_factory.getbasetemp() / "nash-fuzz"
+    try:
+        code = main(["nash", "--c", c_text, "--out-dir", str(out)])
+    except SystemExit as exc:  # argparse takes a value like "-x" for a flag
+        code = exc.code
+    assert code in (0, 2)
 
 
 def test_cli_env_var_out_dir(tmp_path, capsys, monkeypatch):

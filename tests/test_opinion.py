@@ -228,21 +228,6 @@ def test_recommender_holds_tail_segregation_down_long_run():
     assert float(np.mean(with_tails)) < float(np.mean(without_tails))
 
 
-def test_materialized_links_add_edges():
-    cfg = OpinionConfig(n_agents=40, horizon=4000, materialize_edges=True, seed=6)
-    rng = np.random.default_rng(14)
-    state = init_state(cfg, rng)
-    before = len(state.edges)
-    for _ in range(cfg.horizon):
-        step_opinion(state, cfg, rng)
-    after = len(state.edges)
-    assert after >= before
-    # neighbor lists stay symmetric
-    for a, nbrs in enumerate(state.neighbors):
-        for b in nbrs:
-            assert a in state.neighbors[b]
-
-
 def test_opinion_csv_format():
     cfg = OpinionConfig(horizon=200, record_every=100, seed=8)
     records = run_opinion(cfg)
