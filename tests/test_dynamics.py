@@ -1,5 +1,6 @@
 """Protocol runs, the switching acceptance chain, and the planning check."""
 
+import copy
 import io
 
 import numpy as np
@@ -66,6 +67,17 @@ def test_permutation_chain_alternates_exactly():
         values.append(chain.states[state])
         state = step_semi_markov(chain, state, t, rng)
     assert values == [0.6] * 10 + [0.9] * 10 + [0.6] * 10 + [0.9] * 10
+
+
+def test_chain_copy_does_not_share_state():
+    # the chain keeps no current state: a jump returns the next index and
+    # leaves the chain, and any copy of it, as it was
+    chain = two_state_chain()
+    clone = copy.deepcopy(chain)
+    assert step_semi_markov(chain, chain.initial_state, 9, np.random.default_rng(2)) == 1
+    assert chain.initial_state == 0
+    assert clone.initial_state == 0
+    assert step_semi_markov(clone, clone.initial_state, 9, np.random.default_rng(2)) == 1
 
 
 # --- protocol configs ---------------------------------------------------------
