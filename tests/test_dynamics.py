@@ -6,6 +6,7 @@ import io
 import numpy as np
 import pytest
 
+from edgegame import dynamics, opinion
 from edgegame.dynamics import (
     Protocol,
     ProtocolConfig,
@@ -17,7 +18,9 @@ from edgegame.dynamics import (
     write_trace_csv,
 )
 from edgegame.game import nash_equilibrium
+from edgegame.opinion import OpinionConfig, run_opinion
 from edgegame.recommender import RecommenderConfig
+from edgegame.seeding import substream
 
 
 def two_state_chain(holding=10):
@@ -187,6 +190,44 @@ def test_rerunning_same_config_object_is_stable():
     first = run_protocol(cfg)
     run_protocol(ProtocolConfig(protocol=Protocol.P3, horizon=15, chain=cfg.chain, seed=10))
     assert run_protocol(cfg) == first
+
+
+# Uniforms drawn from each named substream over two short runs. A change
+# to the draw order or to the number of draws shows here by substream.
+PINNED_DRAWS = {
+    "protocol2": (
+        dynamics,
+        lambda: run_protocol(ProtocolConfig(
+            Protocol.P2, n_per_community=20, horizon=6, recommender=RecommenderConfig(0.8), seed=3)),
+        {("init",): 2, ("graph",): 11200, ("recommend",): 1823, ("chain",): 0},
+    ),
+    "opinion": (
+        opinion,
+        lambda: run_opinion(OpinionConfig(n_agents=30, horizon=300, record_every=50, seed=3)),
+        {("opinion", "init"): 120, ("opinion", "steps"): 854},
+    ),
+}
+
+
+@pytest.mark.parametrize("run", sorted(PINNED_DRAWS))
+def test_substream_draw_counts_are_pinned(run, monkeypatch):
+    # each generator the run takes from substream ends where a fresh one
+    # stands after the pinned number of doubles (one PCG64 step each)
+    module, call, pinned = PINNED_DRAWS[run]
+    made = []
+
+    def recording(seed, *labels):
+        rng = substream(seed, *labels)
+        made.append((seed, labels, rng))
+        return rng
+
+    monkeypatch.setattr(module, "substream", recording)
+    call()
+    assert sorted(labels for _, labels, _ in made) == sorted(pinned)
+    for seed, labels, rng in made:
+        fresh = substream(seed, *labels)
+        fresh.bit_generator.advance(pinned[labels])
+        assert rng.bit_generator.state == fresh.bit_generator.state, labels
 
 
 def test_protocol3_tracks_switching_equilibrium():
