@@ -92,8 +92,25 @@ class DirectedGraph:
         self.adj[u, v] = True
         return True
 
-    def add_edges(self, pairs: Iterable[tuple[int, int]]) -> int:
-        return sum(1 for u, v in pairs if self.add_edge(u, v))
+    def add_edges(self, pairs: Iterable[tuple[int, int]] | np.ndarray) -> int:
+        """Insert every pair (u, v) of ``pairs``; returns how many were new.
+
+        Accepts pairs or a (k, 2) integer array. Every pair is checked as in
+        ``add_edge`` before any is inserted, so a bad pair inserts nothing.
+        """
+        uv = np.asarray(pairs if isinstance(pairs, np.ndarray) else list(pairs), dtype=np.intp)
+        if uv.size == 0:
+            return 0
+        if uv.ndim != 2 or uv.shape[1] != 2:
+            raise ValueError("pairs must be (u, v) pairs")
+        self._check_node(int(uv.min()))
+        self._check_node(int(uv.max()))
+        u, v = uv.T
+        if np.any(u == v):
+            raise ValueError("self-loops are not allowed")
+        new = np.unique((u * (2 * self._n) + v)[~self.adj[u, v]]).size
+        self.adj[u, v] = True
+        return new
 
     def sorted_edges(self) -> list[tuple[int, int]]:
         """Every edge as a (src, dst) pair, in lexicographic order."""
@@ -170,6 +187,8 @@ def two_hop_support(adj: np.ndarray, n: int) -> np.ndarray:
         if rows.size == 0:
             continue
         terms = adj[other, other][contacts] * weight[rows, contacts][:, None]
-        starts = np.flatnonzero(np.diff(rows, prepend=-1))
+        first = np.ones(rows.size, dtype=bool)  # rows come sorted; mark where each starts
+        first[1:] = rows[1:] != rows[:-1]
+        starts = first.nonzero()[0]
         support[own, other][rows[starts]] = np.add.reduceat(terms, starts, axis=0)
     return support

@@ -6,6 +6,18 @@ the two-hop support between i and j divided by n - 1 (clamped to 1); a
 proposal converts into an edge with the configured acceptance
 probability. One pass touches all 2 n^2 cross pairs and is O(n^2) when
 cross links are O(n) total.
+
+Draws. The pass visits the eligible pairs (nonzero support, no edge) in
+lexicographic order. Each takes one uniform and is proposed if that is
+below the pair's probability; a proposal takes the next uniform for its
+acceptance. The pass draws these uniforms in buffers that never run past
+the last one it uses: first one per eligible pair (no pass uses fewer),
+then, while proposals have pushed pairs past the end, exactly as many as
+are still certain to be needed. numpy marks the draws below the largest
+proposal probability, and only those are visited one by one, so Python
+work per pass follows the proposals rather than the pairs. As nothing is
+drawn ahead, the generator ends where drawing one uniform at a time would
+leave it, for every bit generator, and no rewind is needed.
 """
 
 from __future__ import annotations
@@ -30,18 +42,21 @@ class RecommenderConfig:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RecommendationOutcome:
-    """Proposed and accepted ordered pairs of one pass, in pass order."""
+    """Proposed and accepted ordered pairs of one pass, in pass order.
 
-    recommended: tuple[tuple[int, int], ...]
-    accepted: tuple[tuple[int, int], ...]
+    Each is a (k, 2) integer array with one (i, j) row per pair.
+    """
+
+    recommended: np.ndarray
+    accepted: np.ndarray
 
     def dumps(self) -> str:
         lines = ["RECOMMENDED"]
-        lines.extend(f"{u} {v}" for u, v in self.recommended)
+        lines.extend(f"{u} {v}" for u, v in self.recommended.tolist())
         lines.append("ACCEPTED")
-        lines.extend(f"{u} {v}" for u, v in self.accepted)
+        lines.extend(f"{u} {v}" for u, v in self.accepted.tolist())
         return "\n".join(lines) + "\n"
 
 
@@ -68,26 +83,66 @@ def run_recommender(
 ) -> RecommendationOutcome:
     """One full pass over all cross-community ordered pairs of ``g``.
 
-    Pairs are visited in lexicographic (i, j) order and draws are consumed
-    in that order (zero-support pairs consume none), so a seeded generator
-    reproduces the outcome bit for bit. The pass reads a fixed snapshot:
+    Pairs are visited in lexicographic (i, j) order. Each pair with
+    nonzero support takes one uniform and is proposed if it is below the
+    pair's probability; a proposal takes one more uniform and is accepted
+    if that is below the acceptance probability. Zero-support pairs take
+    none. The pass takes exactly these uniforms, in this order, from
+    ``rng`` and no others (see the module docstring), so a seeded
+    generator reproduces the outcome bit for bit and ends where a loop
+    drawing one uniform per step would leave it. This holds for a
+    ``Generator`` over any numpy bit generator (PCG64, MT19937, SFC64,
+    Philox): the pass never rewinds. The pass reads a fixed snapshot:
     pairs accepted earlier in the pass do not feed later proposals. The
     caller applies ``accepted`` to the graph.
     """
     n = g.n_per_community
     support = two_hop_support(g.adj, n)
-    # Row-major nonzero order is the lexicographic pass order.
-    rows, cols = np.nonzero((support > 0) & ~g.adj)
-    if rows.size == 0:
-        return RecommendationOutcome((), ())
-    probs = np.minimum(support[rows, cols] * (1.0 / (n - 1)), 1.0)
-    accept_p = cfg.acceptance_probability
-    rand = rng.random
-    recommended: list[tuple[int, int]] = []
-    accepted: list[tuple[int, int]] = []
-    for i, j, p in zip(rows.tolist(), cols.tolist(), probs.tolist()):
-        if rand() < p:
-            recommended.append((i, j))
-            if rand() < accept_p:
-                accepted.append((i, j))
-    return RecommendationOutcome(tuple(recommended), tuple(accepted))
+    support[g.adj] = 0  # existing edges are skipped
+    counts = support.ravel()
+    eligible = counts.nonzero()[0]  # row-major: the lexicographic pass order
+    if eligible.size == 0:
+        none = np.empty((0, 2), dtype=np.intp)
+        return RecommendationOutcome(none, none)
+    probs = counts[eligible] * (1.0 / (n - 1))
+    np.minimum(probs, 1.0, out=probs)
+    proposed, draws = _proposals(probs, rng)
+    recommended = np.empty((proposed.size, 2), dtype=np.intp)
+    np.divmod(eligible[proposed], 2 * n, out=(recommended[:, 0], recommended[:, 1]))
+    # the s-th proposal (from 0) of pair k drew at k + s, its acceptance at k + s + 1
+    accepted = draws[proposed + np.arange(1, proposed.size + 1)] < cfg.acceptance_probability
+    return RecommendationOutcome(recommended, recommended[accepted])
+
+
+def _proposals(probs: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the proposed pairs, and every uniform the pass drew.
+
+    Pair k's uniform sits at position k + (proposals before k). The first
+    buffer holds one uniform per pair; only its positions below the
+    largest probability can be proposals, and only those are visited one
+    by one. Each later buffer holds as many uniforms as the proposals
+    found so far still need, and is visited whole. Work per pass beyond
+    numpy's is thus proportional to the proposals, when probabilities are
+    of one order.
+    """
+    m = probs.size
+    top = probs.max()
+    prob = memoryview(probs)
+    buffers = [rng.random(m)]
+    candidates = (buffers[0] < top).nonzero()[0]
+    visit = zip(candidates.tolist(), buffers[0][candidates].tolist())
+    proposed: list[int] = []
+    drawn, skip = m, -1  # uniforms drawn; position of the last proposal's acceptance draw
+    while True:
+        s = len(proposed)  # pair k's uniform sits at position k + s
+        for pos, u in visit:
+            if u < prob[pos - s] and pos != skip:
+                proposed.append(pos - s)
+                s += 1
+                skip = pos + 1
+        need = m + s - drawn
+        if need == 0:
+            return np.array(proposed, dtype=np.intp), np.concatenate(buffers)
+        buffers.append(rng.random(need))
+        visit = enumerate(buffers[-1].tolist(), drawn)
+        drawn += need

@@ -97,6 +97,34 @@ def test_indicator_argument_errors():
         g.add_edge(1, 1)
 
 
+def test_add_edges_counts_new_edges():
+    g = DirectedGraph(3, [(0, 1)])
+    # an existing edge and a repeated pair are not new
+    assert g.add_edges([(0, 1), (1, 4), (1, 4), (5, 0)]) == 2
+    assert g.sorted_edges() == [(0, 1), (1, 4), (5, 0)]
+    assert g.add_edges(np.array([[1, 4], [2, 3]])) == 1
+    assert g.add_edges((u, 0) for u in (3, 4)) == 2
+    assert g.add_edges([]) == 0
+    assert g.add_edges(np.empty((0, 2), dtype=np.intp)) == 0
+    assert g.sorted_edges() == [(0, 1), (1, 4), (2, 3), (3, 0), (4, 0), (5, 0)]
+
+
+@pytest.mark.parametrize(
+    "pairs, message",
+    [
+        ([(0, 6)], "node 6 out of range for 2N=6"),
+        ([(1, 2), (-1, 2)], "node -1 out of range for 2N=6"),
+        ([(1, 2), (2, 2)], "self-loops are not allowed"),
+        ([(0, 1, 2)], r"pairs must be \(u, v\) pairs"),
+    ],
+)
+def test_add_edges_errors_insert_nothing(pairs, message):
+    g = DirectedGraph(3, [(0, 3)])
+    with pytest.raises(ValueError, match=message):
+        g.add_edges(pairs)
+    assert g.sorted_edges() == [(0, 3)]
+
+
 def test_inter_edge_count_examples():
     n = 2
     g = DirectedGraph(n, [(0, 2), (2, 0), (0, 1)])

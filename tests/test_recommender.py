@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgegame.blockmodel import StrategyPair, block_matrix, sample_snapshot
 from edgegame.graph import DirectedGraph, two_hop_support
@@ -17,6 +19,11 @@ EXAMPLE_EDGES = [(4, 5), (4, 7), (0, 1), (4, 0)]  # n=4 picture graph
 
 def support(g, i, j):
     return int(two_hop_support(g.adj, g.n_per_community)[i, j])
+
+
+def pairs(rows):
+    """An outcome's (k, 2) array as a list of (i, j) tuples."""
+    return [tuple(p) for p in rows.tolist()]
 
 
 def example_graph():
@@ -59,7 +66,7 @@ def test_zero_acceptance_accepts_nothing():
     rng = np.random.default_rng(0)
     for _ in range(50):
         out = run_recommender(g, RecommenderConfig(0.0), rng)
-        assert out.accepted == ()
+        assert len(out.accepted) == 0
 
 
 def test_saturated_graph_yields_no_proposals():
@@ -67,7 +74,7 @@ def test_saturated_graph_yields_no_proposals():
     edges = [(u, v) for u in range(2 * n) for v in range(2 * n) if (u < n) != (v < n)]
     g = DirectedGraph(n, edges)
     out = run_recommender(g, RecommenderConfig(1.0), np.random.default_rng(1))
-    assert out.recommended == ()
+    assert len(out.recommended) == 0
 
 
 def test_example_graph_support_set_and_frequencies():
@@ -79,9 +86,9 @@ def test_example_graph_support_set_and_frequencies():
     counts = {pair: 0 for pair in eligible}
     for _ in range(reps):
         out = run_recommender(g, RecommenderConfig(0.8), rng)
-        assert set(out.recommended) <= eligible
-        assert set(out.accepted) <= set(out.recommended)
-        for pair in out.recommended:
+        assert set(pairs(out.recommended)) <= eligible
+        assert set(pairs(out.accepted)) <= set(pairs(out.recommended))
+        for pair in pairs(out.recommended):
             counts[pair] += 1
     p = 1.0 / 3.0
     sigma = np.sqrt(p * (1 - p) / reps)
@@ -96,11 +103,11 @@ def test_outcome_invariants_on_random_graphs():
         g = sample_snapshot(block_matrix(StrategyPair(0.6, 0.7), n), n, rng)
         before = set(g.sorted_edges())
         out = run_recommender(g, RecommenderConfig(0.5), rng)
-        for u, v in out.recommended:
+        for u, v in pairs(out.recommended):
             assert (u < n) != (v < n)
             assert u != v
             assert (u, v) not in before
-        assert set(out.accepted) <= set(out.recommended)
+        assert set(pairs(out.accepted)) <= set(pairs(out.recommended))
         assert set(g.sorted_edges()) == before  # pass never mutates the graph
 
 
@@ -150,7 +157,8 @@ def test_pass_is_deterministic_for_a_seed():
     g = example_graph()
     out1 = run_recommender(g, RecommenderConfig(0.7), np.random.default_rng(5))
     out2 = run_recommender(g, RecommenderConfig(0.7), np.random.default_rng(5))
-    assert out1 == out2
+    assert np.array_equal(out1.recommended, out2.recommended)
+    assert np.array_equal(out1.accepted, out2.accepted)
 
 
 def test_outcome_serialization():
@@ -166,8 +174,25 @@ def test_outcome_serialization():
     assert acc_lines == [f"{u} {v}" for u, v in out.accepted]
 
 
+def test_outcome_holds_index_arrays():
+    # (k, 2) integer arrays: len() counts pairs, rows are (i, j) in pass order
+    g = example_graph()
+    out = run_recommender(g, RecommenderConfig(1.0), np.random.default_rng(3))
+    for rows in (out.recommended, out.accepted):
+        assert rows.ndim == 2 and rows.shape[1] == 2
+        assert np.issubdtype(rows.dtype, np.integer)
+        assert len(rows) == rows.shape[0]
+    assert len(out.accepted) <= len(out.recommended)
+    empty = run_recommender(DirectedGraph(3), RecommenderConfig(1.0), np.random.default_rng(3))
+    assert empty.recommended.shape == empty.accepted.shape == (0, 2)
+    assert empty.dumps() == "RECOMMENDED\nACCEPTED\n"
+
+
 def reference_run_recommender(g, cfg, rng):
-    """The pass as a plain lexicographic loop over cross pairs, reading edges via has_edge."""
+    """The pass as a plain lexicographic loop over cross pairs, reading edges via has_edge.
+
+    Returns the recommended and accepted (i, j) tuples.
+    """
     n = g.n_per_community
     inv = 1.0 / (n - 1) if n > 1 else 0.0
     recommended, accepted = [], []
@@ -186,7 +211,25 @@ def reference_run_recommender(g, cfg, rng):
                 recommended.append((i, j))
                 if rng.random() < cfg.acceptance_probability:
                     accepted.append((i, j))
-    return RecommendationOutcome(tuple(recommended), tuple(accepted))
+    return recommended, accepted
+
+
+def assert_matches_reference(g, cfg, make_rng, skip=0):
+    """The pass and the reference loop, from equal generators ``skip`` draws in, agree draw for draw."""
+    fast_rng, slow_rng = make_rng(), make_rng()
+    fast_rng.random(skip)
+    slow_rng.random(skip)
+    fast = run_recommender(g, cfg, fast_rng)
+    recommended, accepted = reference_run_recommender(g, cfg, slow_rng)
+    assert pairs(fast.recommended) == recommended
+    assert pairs(fast.accepted) == accepted
+    # both generators stand at the same point of their stream
+    assert fast_rng.random(8).tolist() == slow_rng.random(8).tolist()
+
+
+def random_snapshot(n, rng):
+    pair = StrategyPair(1.0 - rng.random(), 1.0 - rng.random())  # p in (0, 1]
+    return sample_snapshot(block_matrix(pair, n), n, rng)
 
 
 def test_pass_matches_reference_loop_draw_for_draw():
@@ -195,19 +238,83 @@ def test_pass_matches_reference_loop_draw_for_draw():
     for _ in range(60):
         n = int(meta.integers(1, 13))
         if meta.random() < 0.5:
-            pair = StrategyPair(1.0 - meta.random(), 1.0 - meta.random())  # p in (0, 1]
-            graphs.append(sample_snapshot(block_matrix(pair, n), n, meta))
+            graphs.append(random_snapshot(n, meta))
         else:
             # uniform density: dense cross blocks, supports above n - 1
             density = meta.random()
             edges = [(u, v) for u in range(2 * n) for v in range(2 * n)
                      if u != v and meta.random() < density]
             graphs.append(DirectedGraph(n, edges))
+    # long eligible lists, whose proposals take the pass through several
+    # buffers of draws, and one snapshot at the size of the large benchmark
+    graphs += [random_snapshot(int(meta.integers(13, 61)), meta) for _ in range(8)]
+    graphs.append(sample_snapshot(block_matrix(StrategyPair(0.75, 0.75), 200), 200, meta))
     for k, g in enumerate(graphs):
         cfg = RecommenderConfig(float(meta.choice([0.0, 1.0, meta.random()])))
-        fast_rng, slow_rng = np.random.default_rng(k), np.random.default_rng(k)
-        fast = run_recommender(g, cfg, fast_rng)
-        slow = reference_run_recommender(g, cfg, slow_rng)
-        assert fast.recommended == slow.recommended, k
-        assert fast.accepted == slow.accepted, k
-        assert fast_rng.random() == slow_rng.random(), k
+        # generators fresh and part-way through their stream
+        skip = int(meta.choice([0, 1, meta.integers(2, 5000)]))
+        assert_matches_reference(g, cfg, lambda: np.random.default_rng(k), skip)
+
+
+class RecordingGenerator:
+    """Passes ``random(size)`` calls on to a generator and records each size."""
+
+    def __init__(self, rng):
+        self.rng, self.sizes = rng, []
+
+    def random(self, size=None):
+        self.sizes.append(size)
+        return self.rng.random(size)
+
+
+@pytest.mark.parametrize("n", [3, 4, 30])
+def test_pass_draws_exactly_the_uniforms_it_uses(n):
+    # One buffer of one uniform per eligible pair, then buffers of exactly
+    # what the proposals still need. In the "followers" graph every blue
+    # node is followed by every red one and each community is complete, so
+    # each red-to-blue pair has support n - 1, p = 1, and every draw is a
+    # proposal or its acceptance: with n * n odd the first buffer ends on a
+    # proposal whose acceptance is the next buffer's first draw.
+    followers = DirectedGraph(n, [(u, v) for u in range(2 * n) for v in range(2 * n)
+                                  if u != v and (u >= n or v < n)])
+    graphs = (followers, random_snapshot(n, np.random.default_rng(n)))
+    for k, g in enumerate(graphs):
+        eligible = int(np.count_nonzero((two_hop_support(g.adj, n) > 0) & ~g.adj))
+        rng = RecordingGenerator(np.random.default_rng(7))
+        out = run_recommender(g, RecommenderConfig(0.5), rng)
+        assert rng.sizes[0] == eligible
+        assert all(size >= 1 for size in rng.sizes)
+        assert sum(rng.sizes) == eligible + len(out.recommended)
+        if k == 0:  # followers: every pair proposed, one buffer per halving
+            assert eligible == len(out.recommended) == n * n
+            assert len(rng.sizes) > 2
+        assert_matches_reference(g, RecommenderConfig(0.5), lambda: np.random.default_rng(7))
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.SFC64, np.random.Philox])
+def test_pass_matches_reference_with_any_bit_generator(bit_generator):
+    # the pass never draws past the last uniform it uses, so it needs no
+    # way to rewind a generator and works with every bit generator
+    meta = np.random.default_rng(505)
+    for k in range(12):
+        g = random_snapshot(int(meta.integers(2, 25)), meta)
+        cfg = RecommenderConfig(float(meta.random()))
+        assert_matches_reference(
+            g, cfg, lambda: np.random.Generator(bit_generator(k)), skip=int(meta.integers(0, 100))
+        )
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 7),
+    density=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+    acceptance=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+    skip=st.integers(0, 50),
+)
+def test_pass_matches_reference_on_any_small_graph(n, density, seed, acceptance, skip):
+    rng = np.random.default_rng(seed)
+    adj = rng.random((2 * n, 2 * n)) < density
+    np.fill_diagonal(adj, False)
+    g = DirectedGraph.from_adjacency(adj, n)
+    assert_matches_reference(g, RecommenderConfig(acceptance), lambda: np.random.default_rng(seed), skip)
