@@ -108,9 +108,9 @@ class DirectedGraph:
         u, v = uv.T
         if np.any(u == v):
             raise ValueError("self-loops are not allowed")
-        new = np.unique((u * (2 * self._n) + v)[~self.adj[u, v]]).size
+        before = np.count_nonzero(self.adj)
         self.adj[u, v] = True
-        return new
+        return np.count_nonzero(self.adj) - before
 
     def sorted_edges(self) -> list[tuple[int, int]]:
         """Every edge as a (src, dst) pair, in lexicographic order."""

@@ -117,13 +117,9 @@ def run_recommender(
 def _proposals(probs: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Indices of the proposed pairs, and every uniform the pass drew.
 
-    Pair k's uniform sits at position k + (proposals before k). The first
-    buffer holds one uniform per pair; only its positions below the
-    largest probability can be proposals, and only those are visited one
-    by one. Each later buffer holds as many uniforms as the proposals
-    found so far still need, and is visited whole. Work per pass beyond
-    numpy's is thus proportional to the proposals, when probabilities are
-    of one order.
+    The first buffer holds one uniform per pair and is visited only at its
+    draws below the largest probability; each later buffer holds what the
+    proposals so far still need and is visited whole.
     """
     m = probs.size
     top = probs.max()
