@@ -9,12 +9,10 @@ from .blockmodel import (
 )
 from .dynamics import (
     MyopicReport,
-    Protocol,
     ProtocolConfig,
     SemiMarkovChain,
     TraceRecord,
     run_protocol,
-    step_semi_markov,
     verify_myopic_optimality,
     write_trace_csv,
 )
@@ -32,7 +30,6 @@ from .game import (
 )
 from .graph import (
     DirectedGraph,
-    inter_edge_count,
     segregation_measure,
     segregation_value,
     two_hop_support,
@@ -40,10 +37,8 @@ from .graph import (
 from .opinion import (
     OpinionConfig,
     OpinionRecord,
-    OpinionState,
     init_geometric_graph,
     run_opinion,
-    step_opinion,
     tail_mean_segregation,
 )
 from .recommender import (
@@ -52,7 +47,7 @@ from .recommender import (
     recommendation_probability,
     run_recommender,
 )
-from .seeding import child_seed, substream
+from .seeding import substream
 
 __all__ = [
     "BlockProbabilityMatrix",
@@ -61,9 +56,7 @@ __all__ = [
     "MyopicReport",
     "OpinionConfig",
     "OpinionRecord",
-    "OpinionState",
     "PlayerRole",
-    "Protocol",
     "ProtocolConfig",
     "RecommendationOutcome",
     "RecommenderConfig",
@@ -73,12 +66,10 @@ __all__ = [
     "TraceRecord",
     "best_response",
     "block_matrix",
-    "child_seed",
     "cross_partial",
     "expected_utility_base",
     "expected_utility_rec",
     "init_geometric_graph",
-    "inter_edge_count",
     "iterated_dominance",
     "nash_equilibrium",
     "realized_utility_rec_all",
@@ -90,8 +81,6 @@ __all__ = [
     "sample_snapshot",
     "segregation_measure",
     "segregation_value",
-    "step_opinion",
-    "step_semi_markov",
     "substream",
     "tail_mean_segregation",
     "two_hop_support",

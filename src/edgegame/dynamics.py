@@ -11,28 +11,18 @@ that may only jump every ``holding_time`` steps (P3).
 from __future__ import annotations
 
 import csv
-import enum
 from dataclasses import dataclass
 from typing import IO, Sequence
 
 import numpy as np
 
 from .blockmodel import StrategyPair, block_matrix, sample_snapshot
-from .game import best_response, nash_equilibrium
+from .game import PlayerRole, best_response, expected_utility_rec, nash_equilibrium
 from .graph import inter_edge_count, segregation_measure
 from .recommender import RecommenderConfig, run_recommender
 from .seeding import substream
 
 TRACE_COLUMNS = ("t", "p_r", "p_b", "c", "segregation", "inter_edges", "recommended", "accepted")
-
-
-class Protocol(enum.Enum):
-    """P1: plain homophily game; P2: fixed-acceptance recommender;
-    P3: recommender whose acceptance probability follows the chain."""
-
-    P1 = "protocol1"
-    P2 = "protocol2"
-    P3 = "protocol3"
 
 
 class SemiMarkovChain:
@@ -96,12 +86,13 @@ def step_semi_markov(chain: SemiMarkovChain, state: int, t: int, rng: np.random.
 
 @dataclass
 class ProtocolConfig:
-    """One simulation run: which protocol, sizes, and its seed.
+    """One simulation run: sizes, acceptance process and seed.
 
-    ``recommender`` must be set exactly for P2, ``chain`` exactly for P3.
+    What the config holds picks the protocol: neither ``recommender`` nor
+    ``chain`` runs P1, ``recommender`` (fixed acceptance) runs P2, and
+    ``chain`` (switching acceptance) runs P3.
     """
 
-    protocol: Protocol
     n_per_community: int = 20
     horizon: int = 20
     recommender: RecommenderConfig | None = None
@@ -113,12 +104,8 @@ class ProtocolConfig:
             raise ValueError("n_per_community must be >= 1")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
-        if self.protocol is Protocol.P1 and (self.recommender or self.chain):
-            raise ValueError("protocol1 takes no recommender parameter")
-        if self.protocol is Protocol.P2 and (self.recommender is None or self.chain):
-            raise ValueError("protocol2 requires a fixed RecommenderConfig")
-        if self.protocol is Protocol.P3 and (self.chain is None or self.recommender):
-            raise ValueError("protocol3 requires a SemiMarkovChain")
+        if self.recommender is not None and self.chain is not None:
+            raise ValueError("set at most one of recommender (protocol2) and chain (protocol3)")
 
 
 @dataclass(frozen=True)
@@ -165,7 +152,7 @@ def run_protocol(cfg: ProtocolConfig) -> list[TraceRecord]:
             acceptance = None
 
         if t >= 1:
-            if cfg.protocol is Protocol.P1:
+            if acceptance is None:
                 response = 1.0  # strictly dominant without the recommender
             else:
                 opponent = p_b if t % 2 == 1 else p_r
@@ -251,7 +238,8 @@ def verify_myopic_optimality(
     opponent plays its one-stage equilibrium response for the current
     chain state. Backward induction maximizes the discounted sum over the
     full horizon; the myopic policy maximizes each stage alone on the same
-    grid. Values start from the chain's initial state.
+    grid. The stage payoff is ``expected_utility_rec`` of the red player.
+    Values start from the chain's initial state.
     """
     if not 0.0 <= gamma < 1.0:
         raise ValueError("gamma must be in [0, 1)")
@@ -265,8 +253,9 @@ def verify_myopic_optimality(
     stage = np.empty((k, len(actions)))
     for s_idx, c in enumerate(chain.states):
         b = nash_equilibrium(c).strategy.p_b
-        a = actions
-        stage[s_idx] = a - b + c * (b * (2.0 - a - b) + a * (1.0 - a))
+        stage[s_idx] = [
+            expected_utility_rec(StrategyPair(a, b), c, PlayerRole.RED) for a in actions.tolist()
+        ]
     myopic_idx = stage.argmax(axis=1)
     myopic_stage = stage[np.arange(k), myopic_idx]
 

@@ -25,7 +25,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .dynamics import (
-    Protocol,
     ProtocolConfig,
     SemiMarkovChain,
     format_float,
@@ -348,7 +347,6 @@ def _protocol(params: dict, csv_path: Path, summary: RunSummary) -> None:
     cfg = _checked(
         ProtocolConfig,
         {"n_per_community": "n"},
-        protocol=Protocol(summary.kind),
         n_per_community=params["n"],
         horizon=params["horizon"],
         recommender=_recommender("c", params["c"]) if "c" in params else None,
@@ -393,7 +391,6 @@ def _sweep_c(params: dict, csv_path: Path, summary: RunSummary) -> None:
             cfg = _checked(
                 ProtocolConfig,
                 {"n_per_community": "n"},
-                protocol=Protocol.P2,
                 n_per_community=params["n"],
                 horizon=params["horizon"],
                 recommender=recommender,

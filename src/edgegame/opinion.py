@@ -56,11 +56,12 @@ class OpinionConfig:
 
 def init_geometric_graph(
     n: int, radius: float, rng: np.random.Generator
-) -> tuple[np.ndarray, list[list[int]], list[tuple[int, int]]]:
+) -> tuple[np.ndarray, list[list[int]], np.ndarray]:
     """Drop n points uniformly in the unit square; link pairs within radius.
 
-    Returns positions, per-agent neighbor lists, and the undirected edge
-    list as (u, v) pairs with u < v.
+    Returns positions, per-agent neighbor lists in ascending order, and
+    the undirected edges as an (m, 2) array of (u, v) rows with u < v, in
+    lexicographic order.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -69,23 +70,20 @@ def init_geometric_graph(
     positions = rng.random((n, 2))
     diff = positions[:, None, :] - positions[None, :, :]
     within = (diff**2).sum(axis=-1) <= radius * radius
-    iu, ju = np.nonzero(np.triu(within, k=1))
-    neighbors: list[list[int]] = [[] for _ in range(n)]
-    edges: list[tuple[int, int]] = []
-    for a, b in zip(iu.tolist(), ju.tolist()):
-        neighbors[a].append(b)
-        neighbors[b].append(a)
-        edges.append((a, b))
-    return positions, neighbors, edges
+    np.fill_diagonal(within, False)
+    neighbors = [np.flatnonzero(row).tolist() for row in within]
+    return positions, neighbors, np.argwhere(np.triu(within))
 
 
 @dataclass
 class OpinionState:
-    """Mutable simulation state; opinions are the most recent expressions."""
+    """Mutable simulation state; opinions are the most recent expressions.
 
-    positions: np.ndarray
+    ``edges`` is the (m, 2) array of undirected contact edges.
+    """
+
     neighbors: list[list[int]]
-    edges: list[tuple[int, int]]
+    edges: np.ndarray
     opinions: list[int]
     q_plus: list[float]
     q_minus: list[float]
@@ -94,11 +92,11 @@ class OpinionState:
 
 def init_state(cfg: OpinionConfig, rng: np.random.Generator) -> OpinionState:
     """Geometry, uniform confidences in (-0.5, 0.5), opinions from the argmax."""
-    positions, neighbors, edges = init_geometric_graph(cfg.n_agents, cfg.radius, rng)
+    _, neighbors, edges = init_geometric_graph(cfg.n_agents, cfg.radius, rng)
     q_plus = (rng.random(cfg.n_agents) - 0.5).tolist()
     q_minus = (rng.random(cfg.n_agents) - 0.5).tolist()
     opinions = [1 if q_plus[i] >= q_minus[i] else -1 for i in range(cfg.n_agents)]
-    return OpinionState(positions, neighbors, edges, opinions, q_plus, q_minus)
+    return OpinionState(neighbors, edges, opinions, q_plus, q_minus)
 
 
 def interaction_reward(
@@ -171,11 +169,7 @@ def measure(state: OpinionState) -> OpinionRecord:
     opinions = np.asarray(state.opinions)
     n_plus = int((opinions == 1).sum())
     n_minus = len(state.opinions) - n_plus
-    if state.edges:
-        eu, ev = np.array(state.edges).T
-        inter = 2 * int((opinions[eu] != opinions[ev]).sum())
-    else:
-        inter = 0
+    inter = 2 * int((opinions[state.edges[:, 0]] != opinions[state.edges[:, 1]]).sum())
     seg = segregation_value(inter, n_plus, n_minus)
     qp = np.asarray(state.q_plus)
     qm = np.asarray(state.q_minus)

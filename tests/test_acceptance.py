@@ -15,7 +15,6 @@ import pytest
 
 from edgegame.blockmodel import StrategyPair, block_matrix, sample_adjacency, sample_snapshot
 from edgegame.dynamics import (
-    Protocol,
     ProtocolConfig,
     SemiMarkovChain,
     run_protocol,
@@ -69,7 +68,7 @@ def test_c02_baseline_protocol_segregates():
     ok = True
     detail = ""
     for seed in range(100):
-        cfg = ProtocolConfig(protocol=Protocol.P1, n_per_community=20, horizon=20, seed=seed)
+        cfg = ProtocolConfig(n_per_community=20, horizon=20, seed=seed)
         for r in run_protocol(cfg):
             if r.t >= 2 and (
                 (r.p_r, r.p_b) != (1.0, 1.0) or r.inter_edges != 0 or r.segregation != 1.0
@@ -90,7 +89,6 @@ def test_c03_recommender_protocol_convergence():
     worst = 0.0
     for seed in range(100):
         cfg = ProtocolConfig(
-            protocol=Protocol.P2,
             n_per_community=20,
             horizon=20,
             recommender=RecommenderConfig(0.8),
@@ -123,7 +121,6 @@ def test_c04_tail_segregation_decreases_with_acceptance():
         tails = []
         for seed in range(50):
             cfg = ProtocolConfig(
-                protocol=Protocol.P2,
                 n_per_community=20,
                 horizon=20,
                 recommender=RecommenderConfig(c),
@@ -205,9 +202,7 @@ def test_c08_switching_equilibrium_tracking():
         [[1 / 3, 1 / 3, 1 / 3]] * 3,
         holding_time=100,
     )
-    cfg = ProtocolConfig(
-        protocol=Protocol.P3, n_per_community=20, horizon=1000, chain=chain, seed=8
-    )
+    cfg = ProtocolConfig(n_per_community=20, horizon=1000, chain=chain, seed=8)
     records = run_protocol(cfg)
     ok = True
     detail = ""

@@ -8,7 +8,6 @@ import pytest
 
 from edgegame import dynamics, opinion
 from edgegame.dynamics import (
-    Protocol,
     ProtocolConfig,
     SemiMarkovChain,
     format_float,
@@ -87,12 +86,10 @@ def test_chain_copy_does_not_share_state():
 
 
 def test_protocol_config_validation():
-    with pytest.raises(ValueError):
-        ProtocolConfig(protocol=Protocol.P1, recommender=RecommenderConfig(0.5))
-    with pytest.raises(ValueError):
-        ProtocolConfig(protocol=Protocol.P2)
-    with pytest.raises(ValueError):
-        ProtocolConfig(protocol=Protocol.P3)
+    # the config picks the protocol from what it holds, so a fixed and a
+    # switching acceptance process together are the one contradiction
+    with pytest.raises(ValueError, match="recommender.*chain"):
+        ProtocolConfig(recommender=RecommenderConfig(0.5), chain=two_state_chain())
 
 
 # --- protocol runs -------------------------------------------------------------
@@ -100,7 +97,7 @@ def test_protocol_config_validation():
 
 def test_protocol1_segregates_in_two_steps():
     for seed in range(5):
-        cfg = ProtocolConfig(protocol=Protocol.P1, n_per_community=20, horizon=12, seed=seed)
+        cfg = ProtocolConfig(n_per_community=20, horizon=12, seed=seed)
         trace = run_protocol(cfg)
         assert len(trace) == 13
         for r in trace:
@@ -114,7 +111,6 @@ def test_protocol1_segregates_in_two_steps():
 
 def test_protocol2_converges_to_equilibrium():
     cfg = ProtocolConfig(
-        protocol=Protocol.P2,
         n_per_community=20,
         horizon=20,
         recommender=RecommenderConfig(0.8),
@@ -131,7 +127,6 @@ def test_protocol2_converges_to_equilibrium():
 
 def test_protocol2_boundary_acceptance_segregates():
     cfg = ProtocolConfig(
-        protocol=Protocol.P2,
         n_per_community=10,
         horizon=10,
         recommender=RecommenderConfig(0.5),
@@ -144,7 +139,6 @@ def test_protocol2_boundary_acceptance_segregates():
 
 def test_alternation_only_one_player_moves_per_step():
     cfg = ProtocolConfig(
-        protocol=Protocol.P2,
         n_per_community=10,
         horizon=15,
         recommender=RecommenderConfig(0.9),
@@ -161,7 +155,6 @@ def test_alternation_only_one_player_moves_per_step():
 def test_traces_are_deterministic():
     def make_cfg():
         return ProtocolConfig(
-            protocol=Protocol.P3,
             n_per_community=10,
             horizon=60,
             chain=two_state_chain(holding=20),
@@ -181,14 +174,13 @@ def test_rerunning_same_config_object_is_stable():
     # the chain inside the config holds no state, so no run leaks into the
     # next, not even a run of another config that shares the chain
     cfg = ProtocolConfig(
-        protocol=Protocol.P3,
         n_per_community=8,
         horizon=40,
         chain=two_state_chain(holding=10),
         seed=9,
     )
     first = run_protocol(cfg)
-    run_protocol(ProtocolConfig(protocol=Protocol.P3, horizon=15, chain=cfg.chain, seed=10))
+    run_protocol(ProtocolConfig(horizon=15, chain=cfg.chain, seed=10))
     assert run_protocol(cfg) == first
 
 
@@ -198,7 +190,7 @@ PINNED_DRAWS = {
     "protocol2": (
         dynamics,
         lambda: run_protocol(ProtocolConfig(
-            Protocol.P2, n_per_community=20, horizon=6, recommender=RecommenderConfig(0.8), seed=3)),
+            n_per_community=20, horizon=6, recommender=RecommenderConfig(0.8), seed=3)),
         {("init",): 2, ("graph",): 11200, ("recommend",): 1823, ("chain",): 0},
     ),
     "opinion": (
@@ -236,9 +228,7 @@ def test_protocol3_tracks_switching_equilibrium():
         [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]],
         holding_time=50,
     )
-    cfg = ProtocolConfig(
-        protocol=Protocol.P3, n_per_community=10, horizon=250, chain=chain, seed=1
-    )
+    cfg = ProtocolConfig(n_per_community=10, horizon=250, chain=chain, seed=1)
     trace = run_protocol(cfg)
     for r in trace:
         window_step = r.t % 50
@@ -249,7 +239,7 @@ def test_protocol3_tracks_switching_equilibrium():
 
 
 def test_trace_csv_format():
-    cfg = ProtocolConfig(protocol=Protocol.P1, n_per_community=5, horizon=2, seed=0)
+    cfg = ProtocolConfig(n_per_community=5, horizon=2, seed=0)
     buf = io.StringIO()
     write_trace_csv(run_protocol(cfg), buf)
     lines = buf.getvalue().splitlines()

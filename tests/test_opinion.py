@@ -30,14 +30,12 @@ class ScriptedRng:
 
 
 def tiny_state(opinions, q_plus, q_minus, neighbors):
-    n = len(opinions)
     edges = sorted(
         {(min(a, b), max(a, b)) for a, nbrs in enumerate(neighbors) for b in nbrs}
     )
     return OpinionState(
-        positions=np.zeros((n, 2)),
         neighbors=[list(nb) for nb in neighbors],
-        edges=edges,
+        edges=np.array(edges, dtype=np.intp).reshape(-1, 2),
         opinions=list(opinions),
         q_plus=list(q_plus),
         q_minus=list(q_minus),
@@ -52,7 +50,7 @@ def test_geometric_graph_extremes():
     _, neighbors, edges = init_geometric_graph(12, np.sqrt(2.0), rng)
     assert len(edges) == 12 * 11 // 2  # complete
     _, neighbors, edges = init_geometric_graph(12, 1e-9, rng)
-    assert edges == []
+    assert edges.shape == (0, 2)
     assert all(not nb for nb in neighbors)
 
 
@@ -211,6 +209,14 @@ def test_run_opinion_trace_shape_and_determinism():
     assert all(0.0 <= r.segregation <= 1.0 for r in r1)
     assert all(r.n_plus + r.n_minus == cfg.n_agents for r in r1)
 
+
+def test_edgeless_contact_graph_is_fully_segregated():
+    # no pair lies within the radius: no edge crosses the opinion split and
+    # every micro-step is a no-op
+    records = run_opinion(OpinionConfig(n_agents=5, radius=1e-9, horizon=20, record_every=5))
+    assert [r.step for r in records] == [0, 5, 10, 15, 20]
+    assert all(r.segregation == 1.0 for r in records)
+    assert all(r.mean_q_gap == records[0].mean_q_gap for r in records)
 
 def test_recommender_holds_tail_segregation_down_long_run():
     # long-run form of the comparison: mean of per-seed tails, 20 seeds
