@@ -22,6 +22,10 @@ from .seeding import substream
 
 OPINION_CSV_COLUMNS = ("step", "segregation", "n_plus", "n_minus", "mean_q_gap")
 
+# Most uniforms one buffer of ``run_opinion`` holds: the buffer stays small
+# however long the horizon.
+_CHUNK = 4096
+
 
 @dataclass(frozen=True)
 class OpinionConfig:
@@ -56,11 +60,11 @@ class OpinionConfig:
 
 def init_geometric_graph(
     n: int, radius: float, rng: np.random.Generator
-) -> tuple[np.ndarray, list[list[int]], np.ndarray]:
+) -> tuple[list[list[int]], np.ndarray]:
     """Drop n points uniformly in the unit square; link pairs within radius.
 
-    Returns positions, per-agent neighbor lists in ascending order, and
-    the undirected edges as an (m, 2) array of (u, v) rows with u < v, in
+    Returns per-agent neighbor lists in ascending order and the
+    undirected edges as an (m, 2) array of (u, v) rows with u < v, in
     lexicographic order.
     """
     if n < 2:
@@ -72,7 +76,7 @@ def init_geometric_graph(
     within = (diff**2).sum(axis=-1) <= radius * radius
     np.fill_diagonal(within, False)
     neighbors = [np.flatnonzero(row).tolist() for row in within]
-    return positions, neighbors, np.argwhere(np.triu(within))
+    return neighbors, np.argwhere(np.triu(within))
 
 
 @dataclass
@@ -92,7 +96,7 @@ class OpinionState:
 
 def init_state(cfg: OpinionConfig, rng: np.random.Generator) -> OpinionState:
     """Geometry, uniform confidences in (-0.5, 0.5), opinions from the argmax."""
-    _, neighbors, edges = init_geometric_graph(cfg.n_agents, cfg.radius, rng)
+    neighbors, edges = init_geometric_graph(cfg.n_agents, cfg.radius, rng)
     q_plus = (rng.random(cfg.n_agents) - 0.5).tolist()
     q_minus = (rng.random(cfg.n_agents) - 0.5).tolist()
     opinions = [1 if q_plus[i] >= q_minus[i] else -1 for i in range(cfg.n_agents)]
@@ -182,14 +186,63 @@ def run_opinion(cfg: OpinionConfig) -> list[OpinionRecord]:
 
     The first record is the initial state (step 0). Identical configs
     produce identical traces.
+
+    The loop is ``step_opinion`` inlined over local lists. It keeps, for
+    each agent, how many of its neighbors hold +1 and updates that only
+    when a speaker's public opinion flips, so the listener's ally count is
+    an integer read instead of a scan. It takes its uniforms from the
+    ``steps`` substream in buffers of at most ``_CHUNK``, each never longer
+    than the lower bound of what the run still needs: one per step left,
+    and two more for a speaker with neighbors. So it uses the same doubles,
+    in the same order, as ``step_opinion`` drawing one at a time, and
+    leaves the generator where that loop would.
     """
     init_rng = substream(cfg.seed, "opinion", "init")
     step_rng = substream(cfg.seed, "opinion", "steps")
     state = init_state(cfg, init_rng)
     records = [measure(state)]
-    for s in range(1, cfg.horizon + 1):
-        step_opinion(state, cfg, step_rng)
-        if s % cfg.record_every == 0:
+    n, horizon, every, chunk = cfg.n_agents, cfg.horizon, cfg.record_every, _CHUNK
+    explore, acceptance, with_rec = cfg.exploration, cfg.acceptance, cfg.with_recommender
+    alpha = cfg.learning_rate
+    keep = 1.0 - alpha
+    neighbors, opinions = state.neighbors, state.opinions
+    q_plus, q_minus = state.q_plus, state.q_minus
+    deg = [len(nbrs) for nbrs in neighbors]
+    plus = [sum(opinions[k] == 1 for k in nbrs) for nbrs in neighbors]
+    draws: list[float] = []
+    at = 0
+    for s in range(1, horizon + 1):
+        if at == len(draws):
+            draws = step_rng.random(min(horizon - s + 1, chunk)).tolist()
+            at = 0
+        i = int(draws[at] * n)
+        at += 1
+        nbrs = neighbors[i]
+        if nbrs:
+            left = len(draws) - at
+            if left < 2:
+                draws = draws[at:] + step_rng.random(min(2 + horizon - s, chunk) - left).tolist()
+                at = 0
+            j = nbrs[int(draws[at] * deg[i])]
+            favored = 1 if q_plus[i] >= q_minus[i] else -1
+            expressed = -favored if draws[at + 1] < explore else favored
+            at += 2
+            if opinions[i] != expressed:
+                opinions[i] = expressed
+                for k in nbrs:
+                    plus[k] += expressed
+            heard = opinions[j]
+            reward = float(expressed * heard)
+            if with_rec and expressed != heard:
+                # i is one of j's neighbors and already holds ``expressed``
+                allies = plus[j] - 1 if expressed == 1 else deg[j] - plus[j] - 1
+                reward += acceptance * allies
+            if expressed == 1:
+                q_plus[i] = keep * q_plus[i] + alpha * reward
+            else:
+                q_minus[i] = keep * q_minus[i] + alpha * reward
+        if s % every == 0:
+            state.steps_done = s
             records.append(measure(state))
     return records
 

@@ -67,15 +67,19 @@ def recommendation_probability(g: DirectedGraph, i: int, j: int) -> float:
     an existing edge means the pair is skipped, so asking for its
     probability is a contract violation. The two-hop support can exceed
     n - 1 (both link directions count), so the ratio is clamped to 1.
+    The pair's support is counted directly, in O(n).
     """
     if g.community(i) == g.community(j):
         raise ValueError("recommendation_probability requires i, j in different communities")
     if g.has_edge(i, j):
         raise ValueError(f"edge ({i}, {j}) already exists; pair is never proposed")
-    count = int(two_hop_support(g.adj, g.n_per_community)[i, j])
+    # two_hop_support's count for this one pair, from j's community alone
+    n, adj = g.n_per_community, g.adj
+    own = slice(n, 2 * n) if j >= n else slice(0, n)
+    count = int(adj[own, j] @ (adj[i, own].astype(np.int64) + adj[own, i]))
     if count == 0:
         return 0.0
-    return min(1.0, count * (1.0 / (g.n_per_community - 1)))
+    return min(1.0, count * (1.0 / (n - 1)))
 
 
 def run_recommender(

@@ -4,7 +4,10 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from edgegame import opinion
 from edgegame.opinion import (
     OpinionConfig,
     OpinionState,
@@ -17,6 +20,7 @@ from edgegame.opinion import (
     tail_mean_segregation,
     write_opinion_csv,
 )
+from edgegame.seeding import substream
 
 
 class ScriptedRng:
@@ -47,9 +51,9 @@ def tiny_state(opinions, q_plus, q_minus, neighbors):
 
 def test_geometric_graph_extremes():
     rng = np.random.default_rng(0)
-    _, neighbors, edges = init_geometric_graph(12, np.sqrt(2.0), rng)
+    neighbors, edges = init_geometric_graph(12, np.sqrt(2.0), rng)
     assert len(edges) == 12 * 11 // 2  # complete
-    _, neighbors, edges = init_geometric_graph(12, 1e-9, rng)
+    neighbors, edges = init_geometric_graph(12, 1e-9, rng)
     assert edges.shape == (0, 2)
     assert all(not nb for nb in neighbors)
 
@@ -59,7 +63,7 @@ def test_geometric_graph_mean_degree():
     rng = np.random.default_rng(123)
     degrees = []
     for _ in range(100):
-        _, neighbors, _ = init_geometric_graph(n, radius, rng)
+        neighbors, _ = init_geometric_graph(n, radius, rng)
         degrees.append(np.mean([len(nb) for nb in neighbors]))
     mean = float(np.mean(degrees))
     approx = n * np.pi * radius**2  # interior approximation, 9.62
@@ -69,7 +73,7 @@ def test_geometric_graph_mean_degree():
 
 def test_geometric_graph_symmetry():
     rng = np.random.default_rng(7)
-    _, neighbors, edges = init_geometric_graph(30, 0.3, rng)
+    neighbors, edges = init_geometric_graph(30, 0.3, rng)
     for a, b in edges:
         assert b in neighbors[a] and a in neighbors[b]
 
@@ -217,6 +221,106 @@ def test_edgeless_contact_graph_is_fully_segregated():
     assert [r.step for r in records] == [0, 5, 10, 15, 20]
     assert all(r.segregation == 1.0 for r in records)
     assert all(r.mean_q_gap == records[0].mean_q_gap for r in records)
+
+
+# --- the fast loop against step_opinion ------------------------------------------
+
+
+def reference_run_opinion(cfg):
+    """run_opinion as one step_opinion call per micro-step.
+
+    Returns the records and the ``steps`` generator where the loop left it.
+    """
+    state = init_state(cfg, substream(cfg.seed, "opinion", "init"))
+    rng = substream(cfg.seed, "opinion", "steps")
+    records = [measure(state)]
+    for s in range(1, cfg.horizon + 1):
+        step_opinion(state, cfg, rng)
+        if s % cfg.record_every == 0:
+            records.append(measure(state))
+    return records, rng
+
+
+class RecordingGenerator:
+    """Passes ``random(size)`` calls on to a generator and records each size."""
+
+    def __init__(self, rng):
+        self.rng, self.sizes = rng, []
+
+    def random(self, size=None):
+        self.sizes.append(size)
+        return self.rng.random(size)
+
+
+def assert_matches_reference(cfg, chunk=opinion._CHUNK):
+    """run_opinion, with buffers of at most ``chunk``, agrees with the reference draw for draw.
+
+    Returns the sizes of the buffers run_opinion drew.
+    """
+    made = {}
+
+    def recording(seed, *labels):
+        made[labels] = RecordingGenerator(substream(seed, *labels))
+        return made[labels]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(opinion, "substream", recording)
+        mp.setattr(opinion, "_CHUNK", chunk)
+        records = run_opinion(cfg)
+    expected, rng = reference_run_opinion(cfg)
+    assert records == expected
+    steps = made[("opinion", "steps")]
+    # both generators stand at the same point of their stream
+    assert steps.rng.random(4).tolist() == rng.random(4).tolist()
+    assert all(1 <= size <= chunk for size in steps.sizes)
+    return steps.sizes
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    n_agents=st.integers(2, 12),
+    radius=st.floats(1e-9, 1.5),
+    exploration=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+    acceptance=st.floats(0.0, 1.0),
+    learning_rate=st.floats(0.01, 1.0),
+    with_recommender=st.booleans(),
+    horizon=st.integers(1, 80),
+    record_every=st.integers(1, 100),
+    seed=st.integers(0, 2**32 - 1),
+    chunk=st.sampled_from([2, 3, 5, opinion._CHUNK]),
+)
+def test_run_opinion_matches_step_opinion_on_small_configs(chunk, **params):
+    assert_matches_reference(OpinionConfig(**params), chunk)
+
+
+def test_run_opinion_matches_step_opinion_past_one_chunk():
+    chunk = opinion._CHUNK
+    cfg = OpinionConfig(n_agents=12, radius=0.4, horizon=3 * chunk + 5, record_every=500, seed=6)
+    sizes = assert_matches_reference(cfg)
+    assert sizes[0] == chunk and len(sizes) > 3
+
+
+def test_isolated_speakers_on_a_buffer_boundary():
+    # every speaker is isolated and takes one draw, so each buffer ends on a
+    # step boundary and the next step opens a new one, sized to what is left
+    chunk = opinion._CHUNK
+    cfg = OpinionConfig(n_agents=6, radius=1e-9, horizon=2 * chunk + 3, record_every=chunk)
+    assert assert_matches_reference(cfg) == [chunk, chunk, 3]
+    # isolated agents next to linked ones, with buffers of two and three draws
+    cfg = OpinionConfig(n_agents=12, radius=0.25, horizon=400, record_every=7, seed=3)
+    assert min(len(nb) for nb in init_state(cfg, substream(3, "opinion", "init")).neighbors) == 0
+    for chunk in (2, 3):
+        assert_matches_reference(cfg, chunk)
+
+
+def test_run_opinion_matches_step_opinion_recording_every_step():
+    for with_recommender in (True, False):
+        cfg = OpinionConfig(
+            n_agents=30, radius=0.3, exploration=0.5, horizon=600, record_every=1,
+            with_recommender=with_recommender, seed=8,
+        )
+        assert_matches_reference(cfg)
+
 
 def test_recommender_holds_tail_segregation_down_long_run():
     # long-run form of the comparison: mean of per-seed tails, 20 seeds

@@ -61,6 +61,27 @@ def test_probability_contract_errors():
         recommendation_probability(g, 0, 1)  # same community
 
 
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 7),
+    density=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_probability_matches_the_support_matrix(n, density, seed):
+    # the one-pair count agrees with two_hop_support on every eligible cross pair
+    adj = np.random.default_rng(seed).random((2 * n, 2 * n)) < density
+    np.fill_diagonal(adj, False)
+    g = DirectedGraph.from_adjacency(adj, n)
+    full = two_hop_support(g.adj, n)
+    for i in range(2 * n):
+        for j in range(n, 2 * n) if i < n else range(n):
+            if g.has_edge(i, j):
+                continue
+            count = int(full[i, j])
+            expected = min(1.0, count * (1.0 / (n - 1))) if count else 0.0
+            assert recommendation_probability(g, i, j) == expected
+
+
 def test_zero_acceptance_accepts_nothing():
     g = example_graph()
     rng = np.random.default_rng(0)
