@@ -53,6 +53,8 @@ class SemiMarkovChain:
         k = len(self.states)
         if self.transition.shape != (k, k):
             raise ValueError(f"transition matrix must be {k}x{k}, got {self.transition.shape}")
+        if not np.all(np.isfinite(self.transition)):
+            raise ValueError("transition probabilities must be finite")
         if np.any(self.transition < 0.0):
             raise ValueError("transition probabilities must be non-negative")
         row_sums = self.transition.sum(axis=1)

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blockmodel import StrategyPair
+from .graph import two_hop_support
 
 # Lower end of the action set (0, 1]. Best responses never reach it in
 # either regime; it only keeps the clamp inside the open interval.
@@ -56,22 +57,27 @@ def realized_utility_rec_all(adj: np.ndarray, n: int, acceptance: float) -> np.n
     are evaluated exactly on the snapshot, without clamping the ratios;
     with acceptance 0 only the base utility remains.
 
-    The dense products cost O(n^3) but beat ``graph.two_hop_support`` at
-    the small n of the Monte-Carlo checks; tests hold the two to the same
-    support.
+    ``adj`` is the boolean 2n x 2n adjacency. Each term is summed per
+    community block; the proposal ratios read ``graph.two_hop_support``,
+    the support the recommender pass draws from, and every partial sum is
+    an exact integer.
     """
-    a = adj.astype(np.float64)
-    blue = np.arange(2 * n) >= n
-    cross = blue[:, None] != blue[None, :]
-    d = a * cross
-    s = a * ~cross
-    base = d.sum(axis=1) - d.sum(axis=0)
+    if adj.shape != (2 * n, 2 * n):
+        raise ValueError(f"adj must be {2 * n}x{2 * n} for n={n}, got shape {adj.shape}")
+    red, blue = slice(0, n), slice(n, 2 * n)
+    support = two_hop_support(adj, n)
+    base, expected_links, bridging = np.empty((3, 2 * n))
+    for own, other in ((red, blue), (blue, red)):
+        followers, in_group = adj[own, other], adj[own, own]
+        friends = adj[other, own].astype(np.float64)
+        in_friends = friends.sum(axis=0)
+        base[own] = followers.sum(axis=1) - in_friends
+        expected_links[own] = (support[own, other] * ~followers).sum(axis=1)
+        # shared[i, i']: cross friends that i and i' have in common
+        shared = friends.T @ friends
+        bridging[own] = in_friends * in_group.sum(axis=1) - (in_group * shared).sum(axis=1)
     if n == 1:
         return base
-    w = (d + d.T) @ s
-    expected_links = w.sum(axis=1) - (d * w).sum(axis=1)
-    col = d.sum(axis=0)
-    bridging = (s * (col[:, None] - d.T @ d)).sum(axis=1)
     return base + acceptance / (n - 1) * (expected_links + bridging)
 
 

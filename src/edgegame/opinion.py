@@ -69,7 +69,7 @@ def init_geometric_graph(
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    if radius <= 0.0:
+    if not radius > 0.0:
         raise ValueError("radius must be positive")
     positions = rng.random((n, 2))
     diff = positions[:, None, :] - positions[None, :, :]

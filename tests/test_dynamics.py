@@ -40,6 +40,9 @@ def test_chain_validation():
         SemiMarkovChain([0.5, 0.6], [[0.5, 0.5], [0.5, 0.5]], 0)
     with pytest.raises(ValueError):
         SemiMarkovChain([0.5, 0.6], [[0.5, 0.5], [0.5, 0.5]], 10, initial_state=2)
+    # NaN passes both the sign test and the row-sum test
+    with pytest.raises(ValueError, match=r"\btransition\b"):
+        SemiMarkovChain([0.6, 0.9], [[np.nan, np.nan], [0.5, 0.5]], 1)
 
 
 def test_chain_holds_between_jump_instants():

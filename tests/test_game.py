@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgegame.blockmodel import StrategyPair, block_matrix, sample_adjacency
 from edgegame.game import (
@@ -62,6 +64,23 @@ def oracle_rec(edges, n, i, c):
     return total
 
 
+def reference_realized_utility_rec_all(adj, n, acceptance):
+    """The kernel as dense 2n x 2n float products over masked copies of the adjacency."""
+    a = adj.astype(np.float64)
+    blue = np.arange(2 * n) >= n
+    cross = blue[:, None] != blue[None, :]
+    d = a * cross
+    s = a * ~cross
+    base = d.sum(axis=1) - d.sum(axis=0)
+    if n == 1:
+        return base
+    w = (d + d.T) @ s
+    expected_links = w.sum(axis=1) - (d * w).sum(axis=1)
+    col = d.sum(axis=0)
+    bridging = (s * (col[:, None] - d.T @ d)).sum(axis=1)
+    return base + acceptance / (n - 1) * (expected_links + bridging)
+
+
 def random_edges(n, density, rng):
     return {
         (u, v)
@@ -118,8 +137,9 @@ def test_realized_rec_matches_oracle():
 
 
 def test_vectorized_matches_per_node():
-    # The dense products against per-node sums over two_hop_support, the
-    # support the recommender pass reads: the two share no code.
+    # The per-block assembly of the kernel against per-node sums over the
+    # same two_hop_support: expected links over missing pairs, bridging
+    # over (cross friend, in-group follower) pairs.
     rng = np.random.default_rng(33)
     for _ in range(15):
         n = int(rng.integers(2, 12))
@@ -139,6 +159,28 @@ def test_vectorized_matches_per_node():
             )
             expected = oracle_base(edges, n, i) + c / (n - 1) * (expected_links + bridging)
             assert vec[i] == pytest.approx(expected, abs=1e-9)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 12),
+    density=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+    acceptance=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+)
+def test_kernel_is_bit_identical_to_dense_reference(n, density, seed, acceptance):
+    adj = np.random.default_rng(seed).random((2 * n, 2 * n)) < density
+    np.fill_diagonal(adj, False)
+    got = realized_utility_rec_all(adj, n, acceptance)
+    want = reference_realized_utility_rec_all(adj, n, acceptance)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+def test_kernel_rejects_wrong_shape():
+    for shape in ((6, 6), (8, 6), (8,), (8, 8, 1)):
+        with pytest.raises(ValueError, match="adj must be 8x8"):
+            realized_utility_rec_all(np.zeros(shape, dtype=bool), 4, 0.5)
 
 
 # --- expected utilities ------------------------------------------------------

@@ -205,7 +205,7 @@ def test_two_hop_matches_oracle_on_random_graphs():
                     assert got[i, j] == 0
                 else:
                     assert got[i, j] == oracle_two_hop(edges, n, i, j)
-        # the dense matrix-product form that realized_utility_rec_all uses
+        # the same support as one dense matrix product
         d = d_matrix(g).astype(np.int64)
         assert np.array_equal(got, (d + d.T) @ s_matrix(g))
 

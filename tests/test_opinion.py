@@ -56,6 +56,9 @@ def test_geometric_graph_extremes():
     neighbors, edges = init_geometric_graph(12, 1e-9, rng)
     assert edges.shape == (0, 2)
     assert all(not nb for nb in neighbors)
+    for radius in (0.0, -0.1, float("nan")):
+        with pytest.raises(ValueError, match="radius"):
+            init_geometric_graph(5, radius, rng)
 
 
 def test_geometric_graph_mean_degree():
