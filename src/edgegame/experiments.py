@@ -7,8 +7,8 @@ out take their defaults. Each scenario kind is declared once, by the
 ``_declares`` decorator on its runner, which names the kind's keys; the
 parser, the CLI and ``run_scenario`` all read that table, ``KINDS``. Each
 scenario writes a data CSV plus a JSON summary into the output directory;
-re-running a scenario with the same spec reproduces the files bit for bit
-(the one exception is the benchmark's wall-time column).
+re-running a scenario with the same spec reproduces the files bit for bit.
+Wall times go only to ``<name>.timings.json``, which the bench kind writes.
 """
 
 from __future__ import annotations
@@ -41,6 +41,11 @@ from .seeding import child_seed, substream
 
 class ConfigError(Exception):
     """Raised for any malformed scenario configuration."""
+
+
+def _round9(x: float | None) -> float | None:
+    """``x`` rounded to the 9 significant digits the CSVs carry, for summaries."""
+    return None if x is None else float(format_float(x))
 
 
 # --- schema ---------------------------------------------------------------
@@ -127,29 +132,26 @@ class RunSummary:
     files: list[str] = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
-        def round9(x):
-            return None if x is None else float(format_float(x))
-
-        payload = {
+        return {
             "scenario": self.scenario,
             "kind": self.kind,
             "seed": self.seed,
-            "final_p_r": round9(self.final_p_r),
-            "final_p_b": round9(self.final_p_b),
-            "final_segregation": round9(self.final_segregation),
-            "reference_p": round9(self.reference_p),
-            "max_deviation": round9(self.max_deviation),
+            "final_p_r": _round9(self.final_p_r),
+            "final_p_b": _round9(self.final_p_b),
+            "final_segregation": _round9(self.final_segregation),
+            "reference_p": _round9(self.reference_p),
+            "max_deviation": _round9(self.max_deviation),
             "extras": self.extras,
             "files": sorted(self.files),
         }
-        return payload
 
 
 class ScenarioKind(NamedTuple):
     """A kind's keys, name -> (type, default), and its runner.
 
     ``run(params, csv_path, summary)`` writes ``csv_path`` and fills
-    ``summary``, which also carries the run's kind and seed.
+    ``summary``, which also carries the run's kind and seed; any other file
+    it writes beside ``csv_path`` it lists in ``summary.files``.
     """
 
     schema: dict[str, tuple[str, object]]
@@ -274,9 +276,9 @@ def _at_least_one(key: str, values) -> None:
         raise ConfigError(f"bad value for {key!r}: must be >= 1")
 
 
-def _distinct(key: str, values) -> None:
-    # results are keyed by these values, so a repeat would overwrite one
-    if len(set(values)) < len(values):
+def _distinct(key: str, written) -> None:
+    # results are keyed by these values as written, so a repeat would overwrite one
+    if len(set(written)) < len(written):
         raise ConfigError(f"bad value for {key!r}: values must not repeat")
 
 
@@ -381,7 +383,7 @@ def _protocol(params: dict, csv_path: Path, summary: RunSummary) -> None:
 })
 def _sweep_c(params: dict, csv_path: Path, summary: RunSummary) -> None:
     _at_least_one("seeds", [params["seeds"]])
-    _distinct("c_grid", params["c_grid"])
+    _distinct("c_grid", [format_float(c) for c in params["c_grid"]])
     recommenders = [_recommender("c_grid", c) for c in params["c_grid"]]
     rows = []
     tails = {}
@@ -470,13 +472,14 @@ def _bench(params: dict, csv_path: Path, summary: RunSummary) -> None:
             start = time.perf_counter()
             run_recommender(graphs[n], rec_cfg, pass_rng)
             seconds[n] = min(seconds[n], time.perf_counter() - start)
-    rows = [
-        [n, format_float(seconds[n]), len(outcomes[n].recommended), len(outcomes[n].accepted)]
-        for n in sizes
-    ]
-    _write_rows(csv_path, ("n", "seconds", "recommended", "accepted"), rows)
+    rows = [[n, len(outcomes[n].recommended), len(outcomes[n].accepted)] for n in sizes]
+    _write_rows(csv_path, ("n", "recommended", "accepted"), rows)
     ratios = [seconds[b] / seconds[a] for a, b in zip(sizes, sizes[1:])]
-    summary.extras = {"ratios": [float(format_float(r)) for r in ratios]}
+    timings_path = csv_path.with_name(f"{csv_path.stem}.timings.json")
+    with timings_path.open("w", encoding="utf-8") as fp:
+        json.dump({"seconds": seconds, "ratios": ratios}, fp, indent=2, allow_nan=False)
+        fp.write("\n")
+    summary.files.append(timings_path.name)
 
 
 @_declares(verify_myopic={
@@ -504,9 +507,9 @@ def _verify_myopic(params: dict, csv_path: Path, summary: RunSummary) -> None:
     ]
     _write_rows(csv_path, ("state", "c", "myopic_action"), rows)
     summary.extras = {
-        "myopic_value": float(format_float(report.myopic_value)),
-        "dp_value": float(format_float(report.dp_value)),
-        "gap": float(format_float(report.gap)),
+        "myopic_value": _round9(report.myopic_value),
+        "dp_value": _round9(report.dp_value),
+        "gap": _round9(report.gap),
     }
 
 

@@ -9,7 +9,7 @@ points from the friend ``u`` to the follower ``v``, i.e. it records that
 
 from __future__ import annotations
 
-from typing import IO, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -128,29 +128,6 @@ class DirectedGraph:
         g = cls.__new__(cls)
         g._n = int(n_per_community)
         g.adj = np.array(adj, dtype=bool)
-        return g
-
-    # --- text dump format ----------------------------------------------
-    # Header line "N=<n_per_community>", then one "src dst" line per edge,
-    # sorted lexicographically by (src, dst).
-
-    def dumps(self) -> str:
-        lines = [f"N={self._n}"]
-        lines.extend(f"{u} {v}" for u, v in self.sorted_edges())
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def load(cls, fp: IO[str]) -> "DirectedGraph":
-        header = fp.readline().strip()
-        if not header.startswith("N="):
-            raise ValueError(f"bad graph header: {header!r}")
-        g = cls(int(header[2:]))
-        for line in fp:
-            line = line.strip()
-            if not line:
-                continue
-            u, v = line.split()
-            g.add_edge(int(u), int(v))
         return g
 
     def __repr__(self) -> str:

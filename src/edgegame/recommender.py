@@ -52,13 +52,6 @@ class RecommendationOutcome:
     recommended: np.ndarray
     accepted: np.ndarray
 
-    def dumps(self) -> str:
-        lines = ["RECOMMENDED"]
-        lines.extend(f"{u} {v}" for u, v in self.recommended.tolist())
-        lines.append("ACCEPTED")
-        lines.extend(f"{u} {v}" for u, v in self.accepted.tolist())
-        return "\n".join(lines) + "\n"
-
 
 def recommendation_probability(g: DirectedGraph, i: int, j: int) -> float:
     """Probability that the pass proposes the pair (i, j).

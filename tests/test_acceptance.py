@@ -291,10 +291,9 @@ def _hash(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _bench_fingerprint(path: Path) -> list[list[str]]:
-    # the seconds column is wall time and legitimately varies between runs
-    rows = [line.split(",") for line in path.read_text().splitlines()]
-    return [[f for i, f in enumerate(row) if rows[0][i] != "seconds"] for row in rows]
+def _reproducible(files: list[str]) -> list[str]:
+    """The files that must be hash-identical across runs: all but the wall-time records."""
+    return [f for f in files if not f.endswith(".timings.json")]
 
 
 # The scenario set of criterion 12: one scenario per kind, small sizes.
@@ -367,16 +366,8 @@ def test_c12_every_scenario_is_reproducible(tmp_path):
             ok = False
             details.append(f"{spec.name}: file lists differ")
             continue
-        for fname in files_a:
-            a, b = dir_a / fname, dir_b / fname
-            if spec.kind == "bench":
-                if fname.endswith(".csv"):
-                    same = _bench_fingerprint(a) == _bench_fingerprint(b)
-                else:
-                    continue  # bench summary carries timing-derived ratios
-            else:
-                same = _hash(a) == _hash(b)
-            if not same:
+        for fname in _reproducible(files_a):
+            if _hash(dir_a / fname) != _hash(dir_b / fname):
                 ok = False
                 details.append(f"{spec.name}/{fname}")
     _report(
@@ -390,26 +381,13 @@ def test_c12_every_scenario_is_reproducible(tmp_path):
 GOLDEN = Path(__file__).with_name("golden_hashes.json")
 
 
-def _golden_digest(spec: ScenarioSpec, path: Path) -> str:
-    if spec.kind != "bench":
-        return _hash(path)
-    # Timings are left out: the CSV's seconds column, the summary's ratios.
-    if path.suffix == ".csv":
-        text = "\n".join(",".join(row) for row in _bench_fingerprint(path))
-    else:
-        data = json.loads(path.read_text())
-        del data["extras"]["ratios"]
-        text = json.dumps(data, sort_keys=True)
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
 def golden_digests(out_dir: Path) -> dict[str, str]:
-    """SHA-256 of every output file of the criterion-12 scenarios, keyed 'scenario/file'."""
+    """SHA-256 of each reproducible criterion-12 output file, keyed 'scenario/file'."""
     digests = {}
     for spec in C12_SCENARIOS:
         base = out_dir / spec.name
-        for fname in sorted(run_scenario(spec, base).files):
-            digests[f"{spec.name}/{fname}"] = _golden_digest(spec, base / fname)
+        for fname in sorted(_reproducible(run_scenario(spec, base).files)):
+            digests[f"{spec.name}/{fname}"] = _hash(base / fname)
     return digests
 
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -245,17 +246,28 @@ def test_verify_myopic_scenario(tmp_path):
     assert len(rows) == 3
 
 
-def test_bench_scenario_rows(tmp_path):
-    spec = ScenarioSpec(
-        name="bench",
-        kind="bench",
-        params={"sizes": (30, 60), "p": 0.75, "repeats": 2, "c": 0.8, "seed": 0},
-    )
-    summary = run_scenario(spec, tmp_path)
-    rows = (tmp_path / "bench.csv").read_text().splitlines()
-    assert rows[0] == "n,seconds,recommended,accepted"
-    assert len(rows) == 3
-    assert len(summary.extras["ratios"]) == 1
+def _no_constant(name: str):
+    raise ValueError(f"non-finite number {name} in strict JSON")
+
+
+def test_bench_timings_stay_out_of_the_reproducible_files(tmp_path):
+    # repeats changes only the wall times, so it must change only bench.timings.json
+    sizes = (20, 30, 40)
+    outs = {repeats: tmp_path / f"repeats{repeats}" for repeats in (1, 3)}
+    for repeats, out in outs.items():
+        params = {"sizes": sizes, "p": 0.75, "repeats": repeats, "c": 0.8, "seed": 0}
+        summary = run_scenario(ScenarioSpec("bench", "bench", params), out)
+        assert "bench.timings.json" in summary.files
+    for fname in ("bench.csv", "bench.summary.json"):
+        assert sha256(outs[1] / fname) == sha256(outs[3] / fname), fname
+    assert (outs[1] / "bench.csv").read_text().splitlines()[0] == "n,recommended,accepted"
+    for out in outs.values():
+        text = (out / "bench.timings.json").read_text()
+        timings = json.loads(text, parse_constant=_no_constant)
+        assert list(timings["seconds"]) == [str(n) for n in sizes]
+        seconds = list(timings["seconds"].values())
+        assert all(math.isfinite(s) and s > 0 for s in seconds)
+        assert timings["ratios"] == [b / a for a, b in zip(seconds, seconds[1:])]
 
 
 def test_scenario_rerun_is_hash_identical(tmp_path):
@@ -342,6 +354,8 @@ def test_cli_bad_flag_value_is_config_error(tmp_path, capsys):
         (["sweep-c", "--c-grid", "0.7,0.7", "--seeds", "2", "--n", "6", "--horizon", "6"], "c_grid"),
         (["bench", "--sizes", "10,10", "--repeats", "1"], "sizes"),
         (["protocol3", "--c-states", "0.6,0.9", "--transition", "0.5,0.5;1.0"], "transition"),
+        # distinct as floats, but both are written as 0.7
+        (["sweep-c", "--c-grid", "0.7,0.7000000001", "--seeds", "2", "--n", "6", "--horizon", "6"], "c_grid"),
     ],
 )
 def test_cli_out_of_range_value_is_config_error(tmp_path, capsys, argv, key):

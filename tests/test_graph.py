@@ -1,7 +1,5 @@
 """Graph structure, indicator functions, and segregation metrics."""
 
-import io
-
 import numpy as np
 import pytest
 
@@ -274,15 +272,6 @@ def test_edge_cap():
     edges = [(u, v) for u in range(4) for v in range(4) if u != v]
     g = DirectedGraph(n, edges)
     assert g.num_edges == 2 * n * (2 * n - 1)
-
-
-def test_dump_format_and_round_trip():
-    g = DirectedGraph(4, [(4, 5), (0, 1), (4, 0), (4, 7)])
-    text = g.dumps()
-    assert text == "N=4\n0 1\n4 0\n4 5\n4 7\n"
-    loaded = DirectedGraph.load(io.StringIO(text))
-    assert loaded.sorted_edges() == g.sorted_edges()
-    assert loaded.n_per_community == 4
 
 
 def test_adjacency_round_trip():

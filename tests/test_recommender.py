@@ -182,19 +182,6 @@ def test_pass_is_deterministic_for_a_seed():
     assert np.array_equal(out1.accepted, out2.accepted)
 
 
-def test_outcome_serialization():
-    g = example_graph()
-    out = run_recommender(g, RecommenderConfig(1.0), np.random.default_rng(12))
-    text = out.dumps()
-    lines = text.splitlines()
-    assert lines[0] == "RECOMMENDED"
-    split = lines.index("ACCEPTED")
-    rec_lines = lines[1:split]
-    acc_lines = lines[split + 1 :]
-    assert rec_lines == [f"{u} {v}" for u, v in out.recommended]
-    assert acc_lines == [f"{u} {v}" for u, v in out.accepted]
-
-
 def test_outcome_holds_index_arrays():
     # (k, 2) integer arrays: len() counts pairs, rows are (i, j) in pass order
     g = example_graph()
@@ -206,7 +193,6 @@ def test_outcome_holds_index_arrays():
     assert len(out.accepted) <= len(out.recommended)
     empty = run_recommender(DirectedGraph(3), RecommenderConfig(1.0), np.random.default_rng(3))
     assert empty.recommended.shape == empty.accepted.shape == (0, 2)
-    assert empty.dumps() == "RECOMMENDED\nACCEPTED\n"
 
 
 def reference_run_recommender(g, cfg, rng):
