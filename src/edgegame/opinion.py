@@ -168,7 +168,10 @@ def measure(state: OpinionState) -> OpinionRecord:
     """Segregation of the contact graph split by opinion sign.
 
     Each undirected edge counts as two directed ones; if one opinion has
-    no holders the network counts as fully segregated.
+    no holders the network counts as fully segregated. This is the
+    from-scratch recount: ``run_opinion`` uses it for the step-0 record
+    and the tests use it as the oracle for the running counts of the
+    later records.
     """
     opinions = np.asarray(state.opinions)
     n_plus = int((opinions == 1).sum())
@@ -187,15 +190,27 @@ def run_opinion(cfg: OpinionConfig) -> list[OpinionRecord]:
     The first record is the initial state (step 0). Identical configs
     produce identical traces.
 
-    The loop is ``step_opinion`` inlined over local lists. It keeps, for
-    each agent, how many of its neighbors hold +1 and updates that only
-    when a speaker's public opinion flips, so the listener's ally count is
-    an integer read instead of a scan. It takes its uniforms from the
-    ``steps`` substream in buffers of at most ``_CHUNK``, each never longer
-    than the lower bound of what the run still needs: one per step left,
-    and two more for a speaker with neighbors. So it uses the same doubles,
-    in the same order, as ``step_opinion`` drawing one at a time, and
-    leaves the generator where that loop would.
+    The loop is ``step_opinion`` inlined over local lists. It takes its
+    uniforms from the ``steps`` substream in buffers of at most ``_CHUNK``,
+    each never longer than the lower bound of what the run still needs: one
+    per step left, and two more for a speaker with neighbors. So it uses
+    the same doubles, in the same order, as ``step_opinion`` drawing one at
+    a time, and leaves the generator where that loop would.
+
+    Each buffer is decoded with numpy as it is drawn, every position as if
+    it held a speaker draw: the speaker, the listener the next draw picks
+    (-1 for an isolated speaker) and whether the one after falls below the
+    exploration rate. The step loop reads these and moves on by three
+    draws for a linked speaker and one for an isolated one. A linked
+    speaker with fewer than two draws left tops the buffer up, decodes its
+    own pair of draws and has the new buffer decoded. Numpy's float64
+    product and truncation give the integers ``int(u * n)`` gives.
+
+    For each agent the loop keeps how many of its neighbors hold +1, and
+    for the records the number of +1 holders and of edges whose ends
+    disagree. It updates them only when a speaker's public opinion flips,
+    so the listener's ally count is an integer read, and a record is built
+    from the counts instead of recounted by ``measure``.
     """
     init_rng = substream(cfg.seed, "opinion", "init")
     step_rng = substream(cfg.seed, "opinion", "steps")
@@ -209,27 +224,50 @@ def run_opinion(cfg: OpinionConfig) -> list[OpinionRecord]:
     q_plus, q_minus = state.q_plus, state.q_minus
     deg = [len(nbrs) for nbrs in neighbors]
     plus = [sum(opinions[k] == 1 for k in nbrs) for nbrs in neighbors]
-    draws: list[float] = []
-    at = 0
+    n_plus = records[0].n_plus
+    split = sum(opinions[u] != opinions[v] for u, v in state.edges.tolist())
+    # the neighbor lists end to end, agent i's from offs[i], and one slot
+    # past the end that an isolated last agent's offset may point at
+    deg_a = np.array(deg)
+    offs = np.cumsum([0] + deg[:-1])
+    flat = np.array([k for nbrs in neighbors for k in nbrs] + [-1])
+
+    def decode(buf: np.ndarray) -> tuple[list[int], list[int], list[bool]]:
+        """Speaker, listener (-1 if isolated) and exploration flag per position."""
+        speakers = (buf * n).astype(np.intp)
+        d = deg_a[speakers[:-1]]
+        listeners = np.where(d > 0, flat[offs[speakers[:-1]] + (buf[1:] * d).astype(np.intp)], -1)
+        return speakers.tolist(), listeners.tolist(), (buf[2:] < explore).tolist()
+
+    # a speaker at ``at`` has two draws after it while ``at < paired``
+    at = size = paired = 0
     for s in range(1, horizon + 1):
-        if at == len(draws):
-            draws = step_rng.random(min(horizon - s + 1, chunk)).tolist()
-            at = 0
-        i = int(draws[at] * n)
-        at += 1
-        nbrs = neighbors[i]
-        if nbrs:
-            left = len(draws) - at
-            if left < 2:
-                draws = draws[at:] + step_rng.random(min(2 + horizon - s, chunk) - left).tolist()
-                at = 0
-            j = nbrs[int(draws[at] * deg[i])]
+        if at == size:
+            buf = step_rng.random(min(horizon - s + 1, chunk))
+            S, J, F = decode(buf)
+            at, size, paired = 0, len(buf), len(buf) - 2
+        i = S[at]
+        if not deg[i]:
+            at += 1
+        else:
+            if at < paired:
+                j = J[at]
+                explored = F[at]
+                at += 3
+            else:
+                left = size - at - 1
+                buf = np.concatenate((buf[at + 1 :], step_rng.random(min(2 + horizon - s, chunk) - left)))
+                j = neighbors[i][int(buf[0] * deg[i])]
+                explored = buf[1] < explore
+                S, J, F = decode(buf)
+                at, size, paired = 2, len(buf), len(buf) - 2
             favored = 1 if q_plus[i] >= q_minus[i] else -1
-            expressed = -favored if draws[at + 1] < explore else favored
-            at += 2
+            expressed = -favored if explored else favored
             if opinions[i] != expressed:
                 opinions[i] = expressed
-                for k in nbrs:
+                n_plus += expressed
+                split += expressed * (deg[i] - 2 * plus[i])
+                for k in neighbors[i]:
                     plus[k] += expressed
             heard = opinions[j]
             reward = float(expressed * heard)
@@ -242,8 +280,9 @@ def run_opinion(cfg: OpinionConfig) -> list[OpinionRecord]:
             else:
                 q_minus[i] = keep * q_minus[i] + alpha * reward
         if s % every == 0:
-            state.steps_done = s
-            records.append(measure(state))
+            gap = np.add.reduce(np.abs(np.subtract(q_plus, q_minus))) / n
+            seg = segregation_value(2 * split, n_plus, n - n_plus)
+            records.append(OpinionRecord(s, seg, n_plus, n - n_plus, float(gap)))
     return records
 
 
@@ -251,6 +290,8 @@ def tail_mean_segregation(records: Sequence[OpinionRecord], fraction: float = 0.
     """Mean segregation over the trailing ``fraction`` of the records."""
     if not records:
         raise ValueError("no records")
+    if not 0.0 < fraction <= 1.0:
+        raise ValueError("fraction must be in (0, 1]")
     k = max(1, int(len(records) * fraction))
     return float(np.mean([r.segregation for r in records[-k:]]))
 

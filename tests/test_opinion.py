@@ -290,7 +290,7 @@ def assert_matches_reference(cfg, chunk=opinion._CHUNK):
     horizon=st.integers(1, 80),
     record_every=st.integers(1, 100),
     seed=st.integers(0, 2**32 - 1),
-    chunk=st.sampled_from([2, 3, 5, opinion._CHUNK]),
+    chunk=st.sampled_from([2, 3, 4, 5, opinion._CHUNK]),
 )
 def test_run_opinion_matches_step_opinion_on_small_configs(chunk, **params):
     assert_matches_reference(OpinionConfig(**params), chunk)
@@ -339,6 +339,17 @@ def test_recommender_holds_tail_segregation_down_long_run():
             tail_mean_segregation(run_opinion(OpinionConfig(with_recommender=False, **base)))
         )
     assert float(np.mean(with_tails)) < float(np.mean(without_tails))
+
+
+def test_tail_mean_segregation_rejects_fractions_outside_unit_interval():
+    records = run_opinion(OpinionConfig(horizon=300, record_every=100, seed=8))
+    assert tail_mean_segregation(records, 1.0) == pytest.approx(
+        np.mean([r.segregation for r in records])
+    )
+    assert tail_mean_segregation(records, 0.01) == records[-1].segregation
+    for fraction in (0.0, -1.0, 1.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="fraction"):
+            tail_mean_segregation(records, fraction)
 
 
 def test_opinion_csv_format():
