@@ -164,6 +164,12 @@ class OpinionRecord:
     mean_q_gap: float
 
 
+def split_edges(state: OpinionState) -> int:
+    """Number of undirected edges whose two ends hold different opinions."""
+    opinions = np.asarray(state.opinions)
+    return int((opinions[state.edges[:, 0]] != opinions[state.edges[:, 1]]).sum())
+
+
 def measure(state: OpinionState) -> OpinionRecord:
     """Segregation of the contact graph split by opinion sign.
 
@@ -173,11 +179,9 @@ def measure(state: OpinionState) -> OpinionRecord:
     and the tests use it as the oracle for the running counts of the
     later records.
     """
-    opinions = np.asarray(state.opinions)
-    n_plus = int((opinions == 1).sum())
+    n_plus = int((np.asarray(state.opinions) == 1).sum())
     n_minus = len(state.opinions) - n_plus
-    inter = 2 * int((opinions[state.edges[:, 0]] != opinions[state.edges[:, 1]]).sum())
-    seg = segregation_value(inter, n_plus, n_minus)
+    seg = segregation_value(2 * split_edges(state), n_plus, n_minus)
     qp = np.asarray(state.q_plus)
     qm = np.asarray(state.q_minus)
     gap = float(np.abs(qp - qm).mean())
@@ -202,8 +206,8 @@ def run_opinion(cfg: OpinionConfig) -> list[OpinionRecord]:
     (-1 for an isolated speaker) and whether the one after falls below the
     exploration rate. The step loop reads these and moves on by three
     draws for a linked speaker and one for an isolated one. A linked
-    speaker with fewer than two draws left tops the buffer up, decodes its
-    own pair of draws and has the new buffer decoded. Numpy's float64
+    speaker with fewer than two draws left tops the buffer up, keeping its
+    own draw and any after it, and has the new buffer decoded. Numpy's float64
     product and truncation give the integers ``int(u * n)`` gives.
 
     For each agent the loop keeps how many of its neighbors hold +1, and
@@ -224,8 +228,7 @@ def run_opinion(cfg: OpinionConfig) -> list[OpinionRecord]:
     q_plus, q_minus = state.q_plus, state.q_minus
     deg = [len(nbrs) for nbrs in neighbors]
     plus = [sum(opinions[k] == 1 for k in nbrs) for nbrs in neighbors]
-    n_plus = records[0].n_plus
-    split = sum(opinions[u] != opinions[v] for u, v in state.edges.tolist())
+    n_plus, split = records[0].n_plus, split_edges(state)
     # the neighbor lists end to end, agent i's from offs[i], and one slot
     # past the end that an isolated last agent's offset may point at
     deg_a = np.array(deg)
@@ -250,17 +253,14 @@ def run_opinion(cfg: OpinionConfig) -> list[OpinionRecord]:
         if not deg[i]:
             at += 1
         else:
-            if at < paired:
-                j = J[at]
-                explored = F[at]
-                at += 3
-            else:
+            if at >= paired:
+                # top up, keeping the speaker's draw and any after it
                 left = size - at - 1
-                buf = np.concatenate((buf[at + 1 :], step_rng.random(min(2 + horizon - s, chunk) - left)))
-                j = neighbors[i][int(buf[0] * deg[i])]
-                explored = buf[1] < explore
+                buf = np.concatenate((buf[at:], step_rng.random(min(2 + horizon - s, chunk) - left)))
                 S, J, F = decode(buf)
-                at, size, paired = 2, len(buf), len(buf) - 2
+                at, size, paired = 0, len(buf), len(buf) - 2
+            j, explored = J[at], F[at]
+            at += 3
             favored = 1 if q_plus[i] >= q_minus[i] else -1
             expressed = -favored if explored else favored
             if opinions[i] != expressed:
