@@ -43,7 +43,6 @@ from .opinion import (
 )
 from .recommender import (
     RecommendationOutcome,
-    RecommenderConfig,
     recommendation_probability,
     run_recommender,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "PlayerRole",
     "ProtocolConfig",
     "RecommendationOutcome",
-    "RecommenderConfig",
     "Regime",
     "SemiMarkovChain",
     "StrategyPair",

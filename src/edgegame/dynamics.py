@@ -19,7 +19,7 @@ import numpy as np
 from .blockmodel import StrategyPair, block_matrix, sample_snapshot
 from .game import PlayerRole, best_response, expected_utility_rec, nash_equilibrium
 from .graph import inter_edge_count, segregation_measure
-from .recommender import RecommenderConfig, run_recommender
+from .recommender import run_recommender
 from .seeding import substream
 
 TRACE_COLUMNS = ("t", "p_r", "p_b", "c", "segregation", "inter_edges", "recommended", "accepted")
@@ -88,17 +88,16 @@ def step_semi_markov(chain: SemiMarkovChain, state: int, t: int, rng: np.random.
 
 @dataclass
 class ProtocolConfig:
-    """One simulation run: sizes, acceptance process and seed.
+    """One simulation run: sizes, acceptance probability and seed.
 
-    What the config holds picks the protocol: neither ``recommender`` nor
-    ``chain`` runs P1, ``recommender`` (fixed acceptance) runs P2, and
-    ``chain`` (switching acceptance) runs P3.
+    ``acceptance`` picks the protocol: None runs P1 (no recommender), a
+    probability c in [0, 1] runs P2 (fixed acceptance), and a
+    ``SemiMarkovChain`` runs P3 (switching acceptance).
     """
 
     n_per_community: int = 20
     horizon: int = 20
-    recommender: RecommenderConfig | None = None
-    chain: SemiMarkovChain | None = None
+    acceptance: float | SemiMarkovChain | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -106,8 +105,9 @@ class ProtocolConfig:
             raise ValueError("n_per_community must be >= 1")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
-        if self.recommender is not None and self.chain is not None:
-            raise ValueError("set at most one of recommender (protocol2) and chain (protocol3)")
+        c = self.acceptance
+        if not (c is None or isinstance(c, SemiMarkovChain) or 0.0 <= c <= 1.0):
+            raise ValueError(f"acceptance must be in [0, 1], got {c}")
 
 
 @dataclass(frozen=True)
@@ -140,19 +140,13 @@ def run_protocol(cfg: ProtocolConfig) -> list[TraceRecord]:
 
     p_r = 1.0 - init_rng.random()
     p_b = 1.0 - init_rng.random()
-    chain = cfg.chain
+    chain = cfg.acceptance if isinstance(cfg.acceptance, SemiMarkovChain) else None
     state = chain.initial_state if chain is not None else None
     n = cfg.n_per_community
 
     records: list[TraceRecord] = []
     for t in range(cfg.horizon + 1):
-        if chain is not None:
-            acceptance = chain.states[state]
-        elif cfg.recommender is not None:
-            acceptance = cfg.recommender.acceptance_probability
-        else:
-            acceptance = None
-
+        acceptance = cfg.acceptance if chain is None else chain.states[state]
         if t >= 1:
             if acceptance is None:
                 response = 1.0  # strictly dominant without the recommender
@@ -167,7 +161,7 @@ def run_protocol(cfg: ProtocolConfig) -> list[TraceRecord]:
         g = sample_snapshot(block_matrix(StrategyPair(p_r, p_b), n), n, graph_rng)
         recommended = accepted = None
         if acceptance is not None:
-            outcome = run_recommender(g, RecommenderConfig(acceptance), rec_rng)
+            outcome = run_recommender(g, acceptance, rec_rng)
             g.add_edges(outcome.accepted)
             recommended = len(outcome.recommended)
             accepted = len(outcome.accepted)

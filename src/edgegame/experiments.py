@@ -35,7 +35,7 @@ from .dynamics import (
 from .blockmodel import StrategyPair, block_matrix, sample_snapshot
 from .game import iterated_dominance, nash_equilibrium
 from .opinion import OpinionConfig, run_opinion, tail_mean_segregation, write_opinion_csv
-from .recommender import RecommenderConfig, run_recommender
+from .recommender import run_recommender
 from .seeding import child_seed, substream
 
 
@@ -267,8 +267,10 @@ def _checked(call: Callable, keys: dict[str, str], /, **fields):
         raise ConfigError(f"bad value for {where}: {exc}") from None
 
 
-def _recommender(key: str, c: float) -> RecommenderConfig:
-    return _checked(RecommenderConfig, {"acceptance_probability": key}, acceptance_probability=c)
+def _probability(key: str, c: float) -> float:
+    if not 0.0 <= c <= 1.0:
+        raise ConfigError(f"bad value for {key!r}: must be in [0, 1], got {c}")
+    return c
 
 
 def _at_least_one(key: str, values) -> None:
@@ -351,8 +353,11 @@ def _protocol(params: dict, csv_path: Path, summary: RunSummary) -> None:
         {"n_per_community": "n"},
         n_per_community=params["n"],
         horizon=params["horizon"],
-        recommender=_recommender("c", params["c"]) if "c" in params else None,
-        chain=build_chain(params) if "c_states" in params else None,
+        acceptance=(
+            _probability("c", params["c"]) if "c" in params
+            else build_chain(params) if "c_states" in params
+            else None
+        ),
         seed=summary.seed,
     )
     records = run_protocol(cfg)
@@ -384,10 +389,11 @@ def _protocol(params: dict, csv_path: Path, summary: RunSummary) -> None:
 def _sweep_c(params: dict, csv_path: Path, summary: RunSummary) -> None:
     _at_least_one("seeds", [params["seeds"]])
     _distinct("c_grid", [format_float(c) for c in params["c_grid"]])
-    recommenders = [_recommender("c_grid", c) for c in params["c_grid"]]
+    for c in params["c_grid"]:
+        _probability("c_grid", c)
     rows = []
     tails = {}
-    for c_idx, (c, recommender) in enumerate(zip(params["c_grid"], recommenders)):
+    for c_idx, c in enumerate(params["c_grid"]):
         per_seed = []
         for rep in range(params["seeds"]):
             cfg = _checked(
@@ -395,7 +401,7 @@ def _sweep_c(params: dict, csv_path: Path, summary: RunSummary) -> None:
                 {"n_per_community": "n"},
                 n_per_community=params["n"],
                 horizon=params["horizon"],
-                recommender=recommender,
+                acceptance=c,
                 seed=child_seed(summary.seed, "sweep", c_idx, rep),
             )
             records = run_protocol(cfg)
@@ -456,13 +462,13 @@ def _bench(params: dict, csv_path: Path, summary: RunSummary) -> None:
     _at_least_one("repeats", [params["repeats"]])
     p = params["p"]
     pair = _checked(StrategyPair, {"p_r": "p", "p_b": "p"}, p_r=p, p_b=p)
-    rec_cfg = _recommender("c", params["c"])
+    c = _probability("c", params["c"])
     graphs = {}
     outcomes = {}
     for n in sizes:
         graphs[n] = sample_snapshot(block_matrix(pair, n), n, substream(seed, "bench", n))
         # warmup pass doubles as the deterministic outcome record
-        outcomes[n] = run_recommender(graphs[n], rec_cfg, substream(seed, "bench", n, "pass"))
+        outcomes[n] = run_recommender(graphs[n], c, substream(seed, "bench", n, "pass"))
     # rounds are interleaved across sizes and the per-size minimum kept,
     # so machine-load swings cannot distort one size's ratio
     seconds = {n: float("inf") for n in sizes}
@@ -470,7 +476,7 @@ def _bench(params: dict, csv_path: Path, summary: RunSummary) -> None:
         for n in sizes:
             pass_rng = substream(seed, "bench", n, "pass")
             start = time.perf_counter()
-            run_recommender(graphs[n], rec_cfg, pass_rng)
+            run_recommender(graphs[n], c, pass_rng)
             seconds[n] = min(seconds[n], time.perf_counter() - start)
     rows = [[n, len(outcomes[n].recommended), len(outcomes[n].accepted)] for n in sizes]
     _write_rows(csv_path, ("n", "recommended", "accepted"), rows)
@@ -514,7 +520,11 @@ def _verify_myopic(params: dict, csv_path: Path, summary: RunSummary) -> None:
 
 
 def run_scenario(spec: ScenarioSpec, out_dir: str | Path = ".") -> RunSummary:
-    """Execute one scenario and write its data CSV and JSON summary."""
+    """Execute one scenario and write its data CSV and JSON summary.
+
+    The summary on disk lists every file the scenario wrote except itself;
+    the returned summary's ``files`` also names ``<name>.summary.json``.
+    """
     t0 = time.perf_counter()
     base = Path(spec.output_path) if spec.output_path else Path(out_dir)
     base.mkdir(parents=True, exist_ok=True)

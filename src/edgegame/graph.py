@@ -41,7 +41,7 @@ class DirectedGraph:
     edges by design, so a dense array costs no more than adjacency lists,
     and it feeds the numpy kernels directly. Instances are treated as
     immutable snapshots while a simulation step reads them; mutation
-    (``add_edge``) is reserved for the single writer between steps.
+    (``add_edges``) is reserved for the single writer between steps.
     """
 
     __slots__ = ("_n", "adj")
@@ -51,8 +51,7 @@ class DirectedGraph:
             raise ValueError("n_per_community must be >= 1")
         self._n = int(n_per_community)
         self.adj = np.zeros((2 * self._n, 2 * self._n), dtype=bool)
-        for u, v in edges:
-            self.add_edge(u, v)
+        self.add_edges(edges)
 
     @property
     def n_per_community(self) -> int:
@@ -81,22 +80,12 @@ class DirectedGraph:
         self._check_node(v)
         return bool(self.adj[u, v])
 
-    def add_edge(self, u: int, v: int) -> bool:
-        """Insert edge ``(u, v)``; returns False if it already existed."""
-        self._check_node(u)
-        self._check_node(v)
-        if u == v:
-            raise ValueError("self-loops are not allowed")
-        if self.adj[u, v]:
-            return False
-        self.adj[u, v] = True
-        return True
-
     def add_edges(self, pairs: Iterable[tuple[int, int]] | np.ndarray) -> int:
         """Insert every pair (u, v) of ``pairs``; returns how many were new.
 
-        Accepts pairs or a (k, 2) integer array. Every pair is checked as in
-        ``add_edge`` before any is inserted, so a bad pair inserts nothing.
+        Accepts pairs or a (k, 2) integer array. Every pair is checked (both
+        nodes in range, no self-loop) before any is inserted, so a bad pair
+        inserts nothing.
         """
         uv = np.asarray(pairs if isinstance(pairs, np.ndarray) else list(pairs), dtype=np.intp)
         if uv.size == 0:

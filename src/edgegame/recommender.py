@@ -3,8 +3,7 @@
 For every ordered cross-community pair (i, j) without an existing edge,
 the recommender proposes "j should follow i" with probability equal to
 the two-hop support between i and j divided by n - 1 (clamped to 1); a
-proposal converts into an edge with the configured acceptance
-probability. One pass touches all 2 n^2 cross pairs and is O(n^2) when
+proposal converts into an edge with the acceptance probability c. One pass touches all 2 n^2 cross pairs and is O(n^2) when
 cross links are O(n) total.
 
 Draws. The pass visits the eligible pairs (nonzero support, no edge) in
@@ -27,19 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import DirectedGraph, two_hop_support
-
-
-@dataclass(frozen=True)
-class RecommenderConfig:
-    """Probability that a proposed link is accepted by its target."""
-
-    acceptance_probability: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.acceptance_probability <= 1.0:
-            raise ValueError(
-                f"acceptance_probability must be in [0, 1], got {self.acceptance_probability}"
-            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,14 +62,16 @@ def recommendation_probability(g: DirectedGraph, i: int, j: int) -> float:
 
 
 def run_recommender(
-    g: DirectedGraph, cfg: RecommenderConfig, rng: np.random.Generator
+    g: DirectedGraph, acceptance: float, rng: np.random.Generator
 ) -> RecommendationOutcome:
     """One full pass over all cross-community ordered pairs of ``g``.
 
-    Pairs are visited in lexicographic (i, j) order. Each pair with
-    nonzero support takes one uniform and is proposed if it is below the
-    pair's probability; a proposal takes one more uniform and is accepted
-    if that is below the acceptance probability. Zero-support pairs take
+    ``acceptance`` is the probability c in [0, 1] that a proposed link is
+    accepted by its target; any other value, NaN included, is a
+    ValueError. Pairs are visited in lexicographic (i, j) order. Each pair
+    with nonzero support takes one uniform and is proposed if it is below
+    the pair's probability; a proposal takes one more uniform and is
+    accepted if that is below ``acceptance``. Zero-support pairs take
     none. The pass takes exactly these uniforms, in this order, from
     ``rng`` and no others (see the module docstring), so a seeded
     generator reproduces the outcome bit for bit and ends where a loop
@@ -93,6 +81,8 @@ def run_recommender(
     pairs accepted earlier in the pass do not feed later proposals. The
     caller applies ``accepted`` to the graph.
     """
+    if not 0.0 <= acceptance <= 1.0:
+        raise ValueError(f"acceptance must be in [0, 1], got {acceptance}")
     n = g.n_per_community
     support = two_hop_support(g.adj, n)
     support[g.adj] = 0  # existing edges are skipped
@@ -107,7 +97,7 @@ def run_recommender(
     recommended = np.empty((proposed.size, 2), dtype=np.intp)
     np.divmod(eligible[proposed], 2 * n, out=(recommended[:, 0], recommended[:, 1]))
     # the s-th proposal (from 0) of pair k drew at k + s, its acceptance at k + s + 1
-    accepted = draws[proposed + np.arange(1, proposed.size + 1)] < cfg.acceptance_probability
+    accepted = draws[proposed + np.arange(1, proposed.size + 1)] < acceptance
     return RecommendationOutcome(recommended, recommended[accepted])
 
 

@@ -31,7 +31,7 @@ from edgegame.game import (
     realized_utility_rec_all,
 )
 from edgegame.opinion import OpinionConfig, run_opinion, tail_mean_segregation
-from edgegame.recommender import RecommenderConfig, run_recommender
+from edgegame.recommender import run_recommender
 from edgegame.seeding import substream
 
 
@@ -91,7 +91,7 @@ def test_c03_recommender_protocol_convergence():
         cfg = ProtocolConfig(
             n_per_community=20,
             horizon=20,
-            recommender=RecommenderConfig(0.8),
+            acceptance=0.8,
             seed=seed,
         )
         for r in run_protocol(cfg):
@@ -123,7 +123,7 @@ def test_c04_tail_segregation_decreases_with_acceptance():
             cfg = ProtocolConfig(
                 n_per_community=20,
                 horizon=20,
-                recommender=RecommenderConfig(c),
+                acceptance=c,
                 seed=1000 + seed,
             )
             records = run_protocol(cfg)
@@ -202,7 +202,7 @@ def test_c08_switching_equilibrium_tracking():
         [[1 / 3, 1 / 3, 1 / 3]] * 3,
         holding_time=100,
     )
-    cfg = ProtocolConfig(n_per_community=20, horizon=1000, chain=chain, seed=8)
+    cfg = ProtocolConfig(n_per_community=20, horizon=1000, acceptance=chain, seed=8)
     records = run_protocol(cfg)
     ok = True
     detail = ""
@@ -266,7 +266,7 @@ def test_c11_recommender_pass_scales_quadratically():
         graphs[n] = sample_snapshot(
             block_matrix(StrategyPair(0.75, 0.75), n), n, substream(0, "bench", n)
         )
-        run_recommender(graphs[n], RecommenderConfig(0.8), substream(0, "warmup"))
+        run_recommender(graphs[n], 0.8, substream(0, "warmup"))
     # interleave rounds and keep per-size minima so machine-load swings
     # hit all sizes alike instead of distorting a single ratio
     seconds = {n: float("inf") for n in sizes}
@@ -274,7 +274,7 @@ def test_c11_recommender_pass_scales_quadratically():
         for n in sizes:
             rng = substream(0, "bench", n, "pass")
             t0 = time.perf_counter()
-            run_recommender(graphs[n], RecommenderConfig(0.8), rng)
+            run_recommender(graphs[n], 0.8, rng)
             seconds[n] = min(seconds[n], time.perf_counter() - t0)
     ratios = [seconds[200] / seconds[100], seconds[400] / seconds[200], seconds[800] / seconds[400]]
     ok = all(3.0 <= r <= 6.0 for r in ratios)

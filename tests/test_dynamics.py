@@ -18,7 +18,6 @@ from edgegame.dynamics import (
 )
 from edgegame.game import nash_equilibrium
 from edgegame.opinion import OpinionConfig, run_opinion
-from edgegame.recommender import RecommenderConfig
 from edgegame.seeding import substream
 
 
@@ -89,10 +88,12 @@ def test_chain_copy_does_not_share_state():
 
 
 def test_protocol_config_validation():
-    # the config picks the protocol from what it holds, so a fixed and a
-    # switching acceptance process together are the one contradiction
-    with pytest.raises(ValueError, match="recommender.*chain"):
-        ProtocolConfig(recommender=RecommenderConfig(0.5), chain=two_state_chain())
+    # one field picks the protocol; a fixed acceptance must be a probability
+    for bad in (-0.1, 1.5, float("nan")):
+        with pytest.raises(ValueError, match="acceptance"):
+            ProtocolConfig(acceptance=bad)
+    for good in (None, 0.0, 1.0, two_state_chain()):
+        assert ProtocolConfig(acceptance=good).acceptance is good
 
 
 # --- protocol runs -------------------------------------------------------------
@@ -116,7 +117,7 @@ def test_protocol2_converges_to_equilibrium():
     cfg = ProtocolConfig(
         n_per_community=20,
         horizon=20,
-        recommender=RecommenderConfig(0.8),
+        acceptance=0.8,
         seed=11,
     )
     trace = run_protocol(cfg)
@@ -132,7 +133,7 @@ def test_protocol2_boundary_acceptance_segregates():
     cfg = ProtocolConfig(
         n_per_community=10,
         horizon=10,
-        recommender=RecommenderConfig(0.5),
+        acceptance=0.5,
         seed=3,
     )
     trace = run_protocol(cfg)
@@ -144,7 +145,7 @@ def test_alternation_only_one_player_moves_per_step():
     cfg = ProtocolConfig(
         n_per_community=10,
         horizon=15,
-        recommender=RecommenderConfig(0.9),
+        acceptance=0.9,
         seed=5,
     )
     trace = run_protocol(cfg)
@@ -160,7 +161,7 @@ def test_traces_are_deterministic():
         return ProtocolConfig(
             n_per_community=10,
             horizon=60,
-            chain=two_state_chain(holding=20),
+            acceptance=two_state_chain(holding=20),
             seed=42,
         )
 
@@ -179,11 +180,11 @@ def test_rerunning_same_config_object_is_stable():
     cfg = ProtocolConfig(
         n_per_community=8,
         horizon=40,
-        chain=two_state_chain(holding=10),
+        acceptance=two_state_chain(holding=10),
         seed=9,
     )
     first = run_protocol(cfg)
-    run_protocol(ProtocolConfig(horizon=15, chain=cfg.chain, seed=10))
+    run_protocol(ProtocolConfig(horizon=15, acceptance=cfg.acceptance, seed=10))
     assert run_protocol(cfg) == first
 
 
@@ -193,7 +194,7 @@ PINNED_DRAWS = {
     "protocol2": (
         dynamics,
         lambda: run_protocol(ProtocolConfig(
-            n_per_community=20, horizon=6, recommender=RecommenderConfig(0.8), seed=3)),
+            n_per_community=20, horizon=6, acceptance=0.8, seed=3)),
         {("init",): 2, ("graph",): 11200, ("recommend",): 1823, ("chain",): 0},
     ),
     "opinion": (
@@ -231,7 +232,7 @@ def test_protocol3_tracks_switching_equilibrium():
         [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]],
         holding_time=50,
     )
-    cfg = ProtocolConfig(n_per_community=10, horizon=250, chain=chain, seed=1)
+    cfg = ProtocolConfig(n_per_community=10, horizon=250, acceptance=chain, seed=1)
     trace = run_protocol(cfg)
     for r in trace:
         window_step = r.t % 50

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edgegame import experiments
 from edgegame.cli import main
 from edgegame.experiments import (
     KINDS,
@@ -356,6 +357,8 @@ def test_cli_bad_flag_value_is_config_error(tmp_path, capsys):
         (["protocol3", "--c-states", "0.6,0.9", "--transition", "0.5,0.5;1.0"], "transition"),
         # distinct as floats, but both are written as 0.7
         (["sweep-c", "--c-grid", "0.7,0.7000000001", "--seeds", "2", "--n", "6", "--horizon", "6"], "c_grid"),
+        (["bench", "--c", "1.5", "--sizes", "10", "--repeats", "1"], "c"),
+        (["sweep-c", "--c-grid", "0.7,1.5", "--seeds", "2", "--n", "6", "--horizon", "6"], "c_grid"),
     ],
 )
 def test_cli_out_of_range_value_is_config_error(tmp_path, capsys, argv, key):
@@ -365,6 +368,13 @@ def test_cli_out_of_range_value_is_config_error(tmp_path, capsys, argv, key):
     assert code == 2
     assert f"bad value for {key!r}" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.summary.json"))
+
+
+def test_sweep_c_checks_every_c_before_the_first_run(tmp_path, monkeypatch):
+    runs = []
+    monkeypatch.setattr(experiments, "run_protocol", runs.append)
+    assert main(["sweep-c", "--c-grid", "0.7,1.5", "--out-dir", str(tmp_path)]) == 2
+    assert runs == []
 
 
 @FUZZ

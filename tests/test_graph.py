@@ -92,7 +92,7 @@ def test_indicator_argument_errors():
     with pytest.raises(ValueError):
         g.community(4)
     with pytest.raises(ValueError):
-        g.add_edge(1, 1)
+        g.add_edges([(1, 1)])
 
 
 def test_add_edges_counts_new_edges():
@@ -245,12 +245,12 @@ def test_segregation_monotonicity_under_edge_addition():
         assert 0.0 <= s0 <= 1.0
         u = int(rng.integers(0, n))
         v = int(rng.integers(n, 2 * n))
-        g.add_edge(u, v)
+        g.add_edges([(u, v)])
         assert segregation_measure(g) <= s0  # new cross edge
         s1 = segregation_measure(g)
         w = int(rng.integers(0, n))
         x = (w + 1) % n
-        g.add_edge(w, x)
+        g.add_edges([(w, x)])
         assert segregation_measure(g) == s1  # in-group edge changes nothing
 
 
@@ -259,11 +259,11 @@ def test_graph_validation():
         DirectedGraph(0)
     g = DirectedGraph(2)
     with pytest.raises(ValueError):
-        g.add_edge(1, 1)
+        g.add_edges([(1, 1)])
     with pytest.raises(ValueError):
-        g.add_edge(0, 4)
-    assert g.add_edge(0, 1)
-    assert not g.add_edge(0, 1)  # duplicate ignored
+        g.add_edges([(0, 4)])
+    assert g.add_edges([(0, 1)]) == 1
+    assert g.add_edges([(0, 1)]) == 0  # duplicate ignored
     assert g.num_edges == 1
 
 

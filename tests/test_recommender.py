@@ -9,7 +9,6 @@ from edgegame.blockmodel import StrategyPair, block_matrix, sample_snapshot
 from edgegame.graph import DirectedGraph, two_hop_support
 from edgegame.recommender import (
     RecommendationOutcome,
-    RecommenderConfig,
     recommendation_probability,
     run_recommender,
 )
@@ -82,11 +81,17 @@ def test_probability_matches_the_support_matrix(n, density, seed):
             assert recommendation_probability(g, i, j) == expected
 
 
+@pytest.mark.parametrize("acceptance", [-0.1, 1.5, float("nan")])
+def test_acceptance_outside_unit_interval_is_rejected(acceptance):
+    with pytest.raises(ValueError, match="acceptance"):
+        run_recommender(example_graph(), acceptance, np.random.default_rng(0))
+
+
 def test_zero_acceptance_accepts_nothing():
     g = example_graph()
     rng = np.random.default_rng(0)
     for _ in range(50):
-        out = run_recommender(g, RecommenderConfig(0.0), rng)
+        out = run_recommender(g, 0.0, rng)
         assert len(out.accepted) == 0
 
 
@@ -94,7 +99,7 @@ def test_saturated_graph_yields_no_proposals():
     n = 3
     edges = [(u, v) for u in range(2 * n) for v in range(2 * n) if (u < n) != (v < n)]
     g = DirectedGraph(n, edges)
-    out = run_recommender(g, RecommenderConfig(1.0), np.random.default_rng(1))
+    out = run_recommender(g, 1.0, np.random.default_rng(1))
     assert len(out.recommended) == 0
 
 
@@ -106,7 +111,7 @@ def test_example_graph_support_set_and_frequencies():
     reps = 10_000
     counts = {pair: 0 for pair in eligible}
     for _ in range(reps):
-        out = run_recommender(g, RecommenderConfig(0.8), rng)
+        out = run_recommender(g, 0.8, rng)
         assert set(pairs(out.recommended)) <= eligible
         assert set(pairs(out.accepted)) <= set(pairs(out.recommended))
         for pair in pairs(out.recommended):
@@ -123,7 +128,7 @@ def test_outcome_invariants_on_random_graphs():
         n = int(rng.integers(2, 8))
         g = sample_snapshot(block_matrix(StrategyPair(0.6, 0.7), n), n, rng)
         before = set(g.sorted_edges())
-        out = run_recommender(g, RecommenderConfig(0.5), rng)
+        out = run_recommender(g, 0.5, rng)
         for u, v in pairs(out.recommended):
             assert (u < n) != (v < n)
             assert u != v
@@ -146,7 +151,7 @@ def test_empirical_acceptance_rate():
     acceptance = 0.6
     recommended = accepted = 0
     while recommended < 10_000:
-        out = run_recommender(g, RecommenderConfig(acceptance), rng)
+        out = run_recommender(g, acceptance, rng)
         recommended += len(out.recommended)
         accepted += len(out.accepted)
     rate = accepted / recommended
@@ -169,15 +174,15 @@ def test_probability_monotone_in_added_support():
         v = int(rng.integers(0, 2 * n))
         if u == v or g.has_edge(u, v) or (u, v) == (i, j):
             continue
-        g.add_edge(u, v)
+        g.add_edges([(u, v)])
         if support(g, i, j) > count_before:
             assert recommendation_probability(g, i, j) >= before
 
 
 def test_pass_is_deterministic_for_a_seed():
     g = example_graph()
-    out1 = run_recommender(g, RecommenderConfig(0.7), np.random.default_rng(5))
-    out2 = run_recommender(g, RecommenderConfig(0.7), np.random.default_rng(5))
+    out1 = run_recommender(g, 0.7, np.random.default_rng(5))
+    out2 = run_recommender(g, 0.7, np.random.default_rng(5))
     assert np.array_equal(out1.recommended, out2.recommended)
     assert np.array_equal(out1.accepted, out2.accepted)
 
@@ -185,17 +190,17 @@ def test_pass_is_deterministic_for_a_seed():
 def test_outcome_holds_index_arrays():
     # (k, 2) integer arrays: len() counts pairs, rows are (i, j) in pass order
     g = example_graph()
-    out = run_recommender(g, RecommenderConfig(1.0), np.random.default_rng(3))
+    out = run_recommender(g, 1.0, np.random.default_rng(3))
     for rows in (out.recommended, out.accepted):
         assert rows.ndim == 2 and rows.shape[1] == 2
         assert np.issubdtype(rows.dtype, np.integer)
         assert len(rows) == rows.shape[0]
     assert len(out.accepted) <= len(out.recommended)
-    empty = run_recommender(DirectedGraph(3), RecommenderConfig(1.0), np.random.default_rng(3))
+    empty = run_recommender(DirectedGraph(3), 1.0, np.random.default_rng(3))
     assert empty.recommended.shape == empty.accepted.shape == (0, 2)
 
 
-def reference_run_recommender(g, cfg, rng):
+def reference_run_recommender(g, acceptance, rng):
     """The pass as a plain lexicographic loop over cross pairs, reading edges via has_edge.
 
     Returns the recommended and accepted (i, j) tuples.
@@ -216,18 +221,18 @@ def reference_run_recommender(g, cfg, rng):
                 continue
             if rng.random() < min(count * inv, 1.0):
                 recommended.append((i, j))
-                if rng.random() < cfg.acceptance_probability:
+                if rng.random() < acceptance:
                     accepted.append((i, j))
     return recommended, accepted
 
 
-def assert_matches_reference(g, cfg, make_rng, skip=0):
+def assert_matches_reference(g, acceptance, make_rng, skip=0):
     """The pass and the reference loop, from equal generators ``skip`` draws in, agree draw for draw."""
     fast_rng, slow_rng = make_rng(), make_rng()
     fast_rng.random(skip)
     slow_rng.random(skip)
-    fast = run_recommender(g, cfg, fast_rng)
-    recommended, accepted = reference_run_recommender(g, cfg, slow_rng)
+    fast = run_recommender(g, acceptance, fast_rng)
+    recommended, accepted = reference_run_recommender(g, acceptance, slow_rng)
     assert pairs(fast.recommended) == recommended
     assert pairs(fast.accepted) == accepted
     # both generators stand at the same point of their stream
@@ -257,10 +262,10 @@ def test_pass_matches_reference_loop_draw_for_draw():
     graphs += [random_snapshot(int(meta.integers(13, 61)), meta) for _ in range(8)]
     graphs.append(sample_snapshot(block_matrix(StrategyPair(0.75, 0.75), 200), 200, meta))
     for k, g in enumerate(graphs):
-        cfg = RecommenderConfig(float(meta.choice([0.0, 1.0, meta.random()])))
+        acceptance = float(meta.choice([0.0, 1.0, meta.random()]))
         # generators fresh and part-way through their stream
         skip = int(meta.choice([0, 1, meta.integers(2, 5000)]))
-        assert_matches_reference(g, cfg, lambda: np.random.default_rng(k), skip)
+        assert_matches_reference(g, acceptance, lambda: np.random.default_rng(k), skip)
 
 
 class RecordingGenerator:
@@ -288,14 +293,14 @@ def test_pass_draws_exactly_the_uniforms_it_uses(n):
     for k, g in enumerate(graphs):
         eligible = int(np.count_nonzero((two_hop_support(g.adj, n) > 0) & ~g.adj))
         rng = RecordingGenerator(np.random.default_rng(7))
-        out = run_recommender(g, RecommenderConfig(0.5), rng)
+        out = run_recommender(g, 0.5, rng)
         assert rng.sizes[0] == eligible
         assert all(size >= 1 for size in rng.sizes)
         assert sum(rng.sizes) == eligible + len(out.recommended)
         if k == 0:  # followers: every pair proposed, one buffer per halving
             assert eligible == len(out.recommended) == n * n
             assert len(rng.sizes) > 2
-        assert_matches_reference(g, RecommenderConfig(0.5), lambda: np.random.default_rng(7))
+        assert_matches_reference(g, 0.5, lambda: np.random.default_rng(7))
 
 
 @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.SFC64, np.random.Philox])
@@ -305,9 +310,8 @@ def test_pass_matches_reference_with_any_bit_generator(bit_generator):
     meta = np.random.default_rng(505)
     for k in range(12):
         g = random_snapshot(int(meta.integers(2, 25)), meta)
-        cfg = RecommenderConfig(float(meta.random()))
         assert_matches_reference(
-            g, cfg, lambda: np.random.Generator(bit_generator(k)), skip=int(meta.integers(0, 100))
+            g, float(meta.random()), lambda: np.random.Generator(bit_generator(k)), skip=int(meta.integers(0, 100))
         )
 
 
@@ -324,4 +328,4 @@ def test_pass_matches_reference_on_any_small_graph(n, density, seed, acceptance,
     adj = rng.random((2 * n, 2 * n)) < density
     np.fill_diagonal(adj, False)
     g = DirectedGraph.from_adjacency(adj, n)
-    assert_matches_reference(g, RecommenderConfig(acceptance), lambda: np.random.default_rng(seed), skip)
+    assert_matches_reference(g, acceptance, lambda: np.random.default_rng(seed), skip)
