@@ -64,32 +64,23 @@ def block_matrix(s: StrategyPair, n: int) -> BlockProbabilityMatrix:
     )
 
 
-def edge_probability_matrix(m: BlockProbabilityMatrix, n: int) -> np.ndarray:
-    """Dense 2n x 2n matrix of per-edge probabilities, P[u, v] = P(edge u->v).
-
-    The follower's community picks the row of ``m``: an edge (red, blue)
-    means the blue endpoint follows the red one, so it uses ``p_br``.
-    """
-    size = 2 * n
-    probs = np.empty((size, size))
-    probs[:n, :n] = m.p_rr
-    probs[n:, n:] = m.p_bb
-    probs[:n, n:] = m.p_br  # blue follower, red friend
-    probs[n:, :n] = m.p_rb  # red follower, blue friend
-    return probs
-
-
 def sample_adjacency(m: BlockProbabilityMatrix, n: int, rng: np.random.Generator) -> np.ndarray:
     """Sample a boolean adjacency matrix; every ordered pair is independent.
 
     One uniform is consumed per matrix cell in row-major (lexicographic)
     order, diagonal included, so a given generator state always yields the
-    same graph.
+    same graph. The uniforms are drawn as a (friend community, friend,
+    follower community, follower) array: its C order is the row-major order
+    of the 2n x 2n matrix, so each uniform meets the probability of its own
+    cell, and the 2 x 2 table broadcasts over the blocks without being
+    expanded to 2n x 2n.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    probs = edge_probability_matrix(m, n)
-    adj = rng.random((2 * n, 2 * n)) < probs
+    # The follower's community picks the probability: an edge (red, blue)
+    # means the blue endpoint follows the red one, so it uses ``p_br``.
+    table = np.array([[m.p_rr, m.p_br], [m.p_rb, m.p_bb]])
+    adj = (rng.random((2, n, 2, n)) < table[:, None, :, None]).reshape(2 * n, 2 * n)
     np.fill_diagonal(adj, False)
     return adj
 

@@ -16,6 +16,7 @@ from .experiments import (
     KINDS,
     ConfigError,
     ScenarioSpec,
+    check_scenario_name,
     parse_config,
     run_scenario,
     summary_line,
@@ -69,7 +70,7 @@ def _spec_from_args(args: argparse.Namespace) -> ScenarioSpec:
         raw["seed"] = str(args.seed)
     params = validate_params(args.kind, raw)
     params.pop("out", None)
-    return ScenarioSpec(name=args.name, kind=args.kind, params=params)
+    return ScenarioSpec(name=check_scenario_name(args.name), kind=args.kind, params=params)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import re
 import time
 from dataclasses import dataclass, field
@@ -193,6 +194,19 @@ def validate_params(kind: str, raw: dict[str, str], lines: dict[str, int] | None
     return params
 
 
+def check_scenario_name(name: str, where: str = "") -> str:
+    """Return ``name`` if it is a plain file stem, else raise ConfigError.
+
+    A scenario writes ``<name>.csv`` and ``<name>.summary.json``, so an empty
+    name, ``.``, ``..`` or a name holding a path separator would write hidden
+    files or leave the output directory, and one holding a NUL cannot be
+    opened.
+    """
+    if name in ("", ".", "..") or any(c and c in name for c in (os.sep, os.altsep, "\0")):
+        raise ConfigError(f"bad value for 'name': {name!r} is not a plain file stem{where}")
+    return name
+
+
 def parse_config(text: str) -> list[ScenarioSpec]:
     """Parse a scenario file into validated specs.
 
@@ -225,9 +239,7 @@ def parse_config(text: str) -> list[ScenarioSpec]:
             if not (stripped.endswith("]") and stripped[1:-1].startswith("scenario ")):
                 raise ConfigError(f"bad section header on line {lineno}: {stripped!r}")
             finish()
-            name = stripped[1:-1][len("scenario "):].strip()
-            if not name:
-                raise ConfigError(f"empty scenario name on line {lineno}")
+            name = check_scenario_name(stripped[1:-1][len("scenario "):].strip(), f" (line {lineno})")
             if name in seen_names:
                 raise ConfigError(f"duplicate scenario name {name!r} on line {lineno}")
             seen_names.add(name)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgegame.blockmodel import (
     BlockProbabilityMatrix,
@@ -115,3 +117,39 @@ def test_edge_direction_follows_the_follower():
         if adj[:n, n:].sum() > 0:
             saw_red_to_blue = True
     assert saw_red_to_blue
+
+
+def reference_sample_adjacency(m, n, rng):
+    """One scalar uniform per cell in row-major order, diagonal included.
+
+    An edge (u, v) runs friend u -> follower v, so it exists iff u != v and
+    its uniform is below the entry keyed (follower community, friend
+    community).
+    """
+    adj = np.zeros((2 * n, 2 * n), dtype=bool)
+    for u in range(2 * n):
+        for v in range(2 * n):
+            x = rng.random()
+            adj[u, v] = u != v and x < getattr(m, f"p_{'rb'[v // n]}{'rb'[u // n]}")
+    return adj
+
+
+PROBABILITY = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+IN_GROUP = st.floats(0.0, 1.0, exclude_min=True)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 12),
+    pair=st.builds(StrategyPair, IN_GROUP, IN_GROUP),
+    table=st.none() | st.builds(BlockProbabilityMatrix, PROBABILITY, PROBABILITY, PROBABILITY, PROBABILITY),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sample_adjacency_matches_per_cell_reference(n, pair, table, seed):
+    # no table: the strategy pair's own block table at this n
+    m = block_matrix(pair, n) if table is None else table
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    adj = sample_adjacency(m, n, rng)
+    assert adj.dtype == bool
+    assert np.array_equal(adj, reference_sample_adjacency(m, n, ref_rng))
+    assert rng.random() == ref_rng.random()

@@ -76,6 +76,12 @@ def test_parse_duplicate_key():
         parse_config("[scenario a]\nkind = nash\nc = 0.8\nc = 0.9\n")
 
 
+@pytest.mark.parametrize("name", ["x/y", "x\0y"])
+def test_parse_bad_scenario_name_names_line(name):
+    with pytest.raises(ConfigError, match=r"is not a plain file stem \(line 3\)"):
+        parse_config(f"[scenario a]\nkind = nash\n[scenario {name}]\nkind = nash\n")
+
+
 def test_parse_key_outside_section():
     with pytest.raises(ConfigError, match="line 1"):
         parse_config("kind = nash\n")
@@ -359,6 +365,11 @@ def test_cli_bad_flag_value_is_config_error(tmp_path, capsys):
         (["sweep-c", "--c-grid", "0.7,0.7000000001", "--seeds", "2", "--n", "6", "--horizon", "6"], "c_grid"),
         (["bench", "--c", "1.5", "--sizes", "10", "--repeats", "1"], "c"),
         (["sweep-c", "--c-grid", "0.7,1.5", "--seeds", "2", "--n", "6", "--horizon", "6"], "c_grid"),
+        # names that are not plain file stems wrote hidden files or failed to open their files
+        (["nash", "--name", "a/b"], "name"),
+        (["nash", "--name", ""], "name"),
+        (["nash", "--name", "."], "name"),
+        (["nash", "--name", ".."], "name"),
     ],
 )
 def test_cli_out_of_range_value_is_config_error(tmp_path, capsys, argv, key):
@@ -367,7 +378,7 @@ def test_cli_out_of_range_value_is_config_error(tmp_path, capsys, argv, key):
     code = main(argv + ["--out-dir", str(tmp_path)])
     assert code == 2
     assert f"bad value for {key!r}" in capsys.readouterr().err
-    assert not list(tmp_path.glob("*.summary.json"))
+    assert not list(tmp_path.iterdir())
 
 
 def test_sweep_c_checks_every_c_before_the_first_run(tmp_path, monkeypatch):
