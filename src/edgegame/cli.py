@@ -105,7 +105,11 @@ def _run_config(args: argparse.Namespace) -> int:
         ]
     out_dir = _out_dir(args.out_dir)
     for spec in specs:
-        print(summary_line(run_scenario(spec, out_dir)))
+        try:
+            summary = run_scenario(spec, out_dir)
+        except ConfigError as exc:
+            raise ConfigError(f"scenario {spec.name!r}: {exc}") from None
+        print(summary_line(summary))
     return 0
 
 

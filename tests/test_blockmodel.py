@@ -5,13 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgegame.blockmodel import (
-    BlockProbabilityMatrix,
-    StrategyPair,
-    block_matrix,
-    sample_adjacency,
-    sample_snapshot,
-)
+from edgegame.blockmodel import StrategyPair, block_matrix, sample_adjacency, sample_snapshot
 from edgegame.graph import inter_edge_count, segregation_measure
 
 
@@ -24,41 +18,41 @@ def test_strategy_pair_validation():
 
 
 def test_block_matrix_values():
-    m = block_matrix(StrategyPair(1.0, 1.0), 20)
-    assert (m.p_rr, m.p_bb, m.p_rb, m.p_br) == (1.0, 1.0, 0.0, 0.0)
+    # indexed [friend community, follower community]; the follower's own p
+    # sets the probability of a cross edge
+    table = block_matrix(StrategyPair(1.0, 1.0), 20)
+    assert table.shape == (2, 2) and table.dtype == np.float64
+    assert table.tolist() == [[1.0, 0.0], [0.0, 1.0]]
 
-    m = block_matrix(StrategyPair(0.75, 0.75), 20)
-    assert m.p_rb == pytest.approx(0.0125)
-    assert m.p_br == pytest.approx(0.0125)
+    table = block_matrix(StrategyPair(0.75, 0.75), 20)
+    assert table[0, 1] == pytest.approx(0.0125)
+    assert table[1, 0] == pytest.approx(0.0125)
 
-    m = block_matrix(StrategyPair(0.5, 1.0), 10)
-    assert m.p_rb == pytest.approx(0.05)
-    assert m.p_br == 0.0
+    table = block_matrix(StrategyPair(0.5, 1.0), 10)
+    assert table.tolist() == [[0.5, 0.0], [(1.0 - 0.5) / 10, 1.0]]
 
 
 def test_matrix_validation():
-    with pytest.raises(ValueError):
-        BlockProbabilityMatrix(1.1, 0, 0, 0)
     with pytest.raises(ValueError):
         block_matrix(StrategyPair(0.5, 0.5), 0)
 
 
 def test_sample_degenerate_matrices():
     rng = np.random.default_rng(0)
-    g = sample_snapshot(BlockProbabilityMatrix(1, 0, 0, 1), 3, rng)
+    g = sample_snapshot(np.eye(2), 3, rng)
     # both communities complete, no cross edges
     assert g.num_edges == 2 * 3 * 2
     assert inter_edge_count(g) == 0
     assert segregation_measure(g) == 1.0
 
-    g_empty = sample_snapshot(BlockProbabilityMatrix(0, 0, 0, 0), 4, rng)
+    g_empty = sample_snapshot(np.zeros((2, 2)), 4, rng)
     assert g_empty.num_edges == 0
 
 
 def test_sample_never_contains_self_loops():
     rng = np.random.default_rng(5)
     for _ in range(20):
-        g = sample_snapshot(BlockProbabilityMatrix(0.9, 0.9, 0.9, 0.9), 5, rng)
+        g = sample_snapshot(np.full((2, 2), 0.9), 5, rng)
         assert all(u != v for u, v in g.sorted_edges())
 
 
@@ -119,18 +113,28 @@ def test_edge_direction_follows_the_follower():
     assert saw_red_to_blue
 
 
-def reference_sample_adjacency(m, n, rng):
+def reference_sample_adjacency(source, n, rng):
     """One scalar uniform per cell in row-major order, diagonal included.
 
     An edge (u, v) runs friend u -> follower v, so it exists iff u != v and
-    its uniform is below the entry keyed (follower community, friend
-    community).
+    its uniform is below the probability that v's community follows u's.
+    ``source`` is either a StrategyPair, whose probabilities are worked out
+    here from the pair (the follower community's in-group p, or
+    (1 - p_follower)/n across), or a table read at [friend community,
+    follower community].
     """
+
+    def probability(friend, follower):
+        if isinstance(source, StrategyPair):
+            p = (source.p_r, source.p_b)[follower]
+            return p if friend == follower else (1.0 - p) / n
+        return source[friend, follower]
+
     adj = np.zeros((2 * n, 2 * n), dtype=bool)
     for u in range(2 * n):
         for v in range(2 * n):
             x = rng.random()
-            adj[u, v] = u != v and x < getattr(m, f"p_{'rb'[v // n]}{'rb'[u // n]}")
+            adj[u, v] = u != v and x < probability(u // n, v // n)
     return adj
 
 
@@ -142,14 +146,15 @@ IN_GROUP = st.floats(0.0, 1.0, exclude_min=True)
 @given(
     n=st.integers(1, 12),
     pair=st.builds(StrategyPair, IN_GROUP, IN_GROUP),
-    table=st.none() | st.builds(BlockProbabilityMatrix, PROBABILITY, PROBABILITY, PROBABILITY, PROBABILITY),
+    table=st.none() | st.lists(PROBABILITY, min_size=4, max_size=4).map(lambda ps: np.reshape(ps, (2, 2))),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_sample_adjacency_matches_per_cell_reference(n, pair, table, seed):
-    # no table: the strategy pair's own block table at this n
-    m = block_matrix(pair, n) if table is None else table
+    # no table: the strategy pair's own block table at this n, which the
+    # reference works out from the pair, not from block_matrix
+    m, source = (block_matrix(pair, n), pair) if table is None else (table, table)
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     adj = sample_adjacency(m, n, rng)
     assert adj.dtype == bool
-    assert np.array_equal(adj, reference_sample_adjacency(m, n, ref_rng))
+    assert np.array_equal(adj, reference_sample_adjacency(source, n, ref_rng))
     assert rng.random() == ref_rng.random()

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from edgegame import experiments
 from edgegame.cli import main
+from edgegame.dynamics import ProtocolConfig
 from edgegame.experiments import (
     KINDS,
     ConfigError,
@@ -19,6 +20,7 @@ from edgegame.experiments import (
     run_scenario,
     validate_params,
 )
+from edgegame.opinion import OpinionConfig
 
 
 def sha256(path: Path) -> str:
@@ -38,6 +40,19 @@ def test_parse_minimal_scenario_fills_defaults():
     assert spec.params["horizon"] == 20
     assert spec.params["c"] == 0.8
     assert spec.params["seed"] == 1
+
+
+def test_scenario_defaults_match_the_config_defaults():
+    # `edgegame opinion` and OpinionConfig() (which layerbench's opinion
+    # workload builds) must run the same model
+    params = validate_params("opinion", {})
+    params.pop("out")
+    params["acceptance"] = params.pop("c")
+    assert OpinionConfig(**params) == OpinionConfig()
+    default = ProtocolConfig()
+    for kind in ("protocol1", "protocol2"):
+        params = validate_params(kind, {})
+        assert (params["n"], params["horizon"]) == (default.n_per_community, default.horizon)
 
 
 def test_parse_empty_file():
@@ -337,6 +352,17 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     bad.write_text("[scenario x]\nkind = protocol9\n")
     assert main(["run", str(bad)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_cli_run_names_the_scenario_of_a_bad_value(tmp_path, capsys):
+    cfg = tmp_path / "scenarios.txt"
+    cfg.write_text("[scenario a]\nkind = nash\n\n[scenario b]\nkind = protocol2\nc = 1.5\n")
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "scenario 'b'" in err and "bad value for 'c'" in err
+    # run stops at the failing scenario and keeps the files of those before it
+    assert sorted(path.name for path in out.iterdir()) == ["a.csv", "a.summary.json"]
 
 
 def test_cli_missing_config_is_config_error(tmp_path):

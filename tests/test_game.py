@@ -228,7 +228,7 @@ def test_expected_rec_role_symmetry():
         s = StrategyPair(1 - float(rng.random()), 1 - float(rng.random()))
         c = float(rng.random())
         assert expected_utility_rec(s, c, PlayerRole.RED) == pytest.approx(
-            expected_utility_rec(s.swapped(), c, PlayerRole.BLUE)
+            expected_utility_rec(StrategyPair(s.p_b, s.p_r), c, PlayerRole.BLUE)
         )
 
 
