@@ -16,11 +16,10 @@ from .experiments import (
     KINDS,
     ConfigError,
     ScenarioSpec,
-    check_scenario_name,
+    make_spec,
     parse_config,
     run_scenario,
     summary_line,
-    validate_params,
 )
 
 DEFAULT_OUT_DIR = "out"
@@ -31,7 +30,7 @@ def _add_kind_parser(subparsers, kind: str) -> None:
     aliases = [kind] if command != kind else []
     sub = subparsers.add_parser(command, aliases=aliases, help=f"run one '{kind}' scenario")
     sub.add_argument("--name", default=kind, help="scenario name (file stem)")
-    sub.add_argument("--seed", type=int, default=None, help="master seed")
+    sub.add_argument("--seed", default=None, metavar="V", help="master seed")
     sub.add_argument("--out-dir", default=None, help="output directory")
     for key in KINDS[kind].schema:
         sub.add_argument(f"--{key.replace('_', '-')}", dest=key, default=None, metavar="V")
@@ -48,7 +47,6 @@ def build_parser() -> argparse.ArgumentParser:
         _add_kind_parser(subparsers, kind)
     run_p = subparsers.add_parser("run", help="run every scenario in a config file")
     run_p.add_argument("config", help="path to the scenario config file")
-    run_p.add_argument("--seed", type=int, default=None, help="override every scenario's seed")
     run_p.add_argument("--out-dir", default=None, help="output directory")
     run_p.set_defaults(command="run")
     return parser
@@ -61,16 +59,9 @@ def _out_dir(flag_value: str | None) -> str:
 
 
 def _spec_from_args(args: argparse.Namespace) -> ScenarioSpec:
-    raw = {}
-    for key in KINDS[args.kind].schema:
-        value = getattr(args, key)
-        if value is not None:
-            raw[key] = str(value)
-    if args.seed is not None:
-        raw["seed"] = str(args.seed)
-    params = validate_params(args.kind, raw)
-    params.pop("out", None)
-    return ScenarioSpec(name=check_scenario_name(args.name), kind=args.kind, params=params)
+    keys = ("seed", *KINDS[args.kind].schema)
+    raw = {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
+    return make_spec(args.name, args.kind, raw)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -97,14 +88,8 @@ def _run_config(args: argparse.Namespace) -> int:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
-    specs = parse_config(text)
-    if args.seed is not None:
-        specs = [
-            ScenarioSpec(s.name, s.kind, {**s.params, "seed": args.seed}, s.output_path)
-            for s in specs
-        ]
     out_dir = _out_dir(args.out_dir)
-    for spec in specs:
+    for spec in parse_config(text):
         try:
             summary = run_scenario(spec, out_dir)
         except ConfigError as exc:

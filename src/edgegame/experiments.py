@@ -5,10 +5,13 @@ A plain-text config holds one ``[scenario <name>]`` section per run with
 and bad values are hard errors that name the offending line, and keys left
 out take their defaults. Each scenario kind is declared once, by the
 ``_declares`` decorator on its runner, which names the kind's keys; the
-parser, the CLI and ``run_scenario`` all read that table, ``KINDS``. Each
-scenario writes a data CSV plus a JSON summary into the output directory;
-re-running a scenario with the same spec reproduces the files bit for bit.
-Wall times go only to ``<name>.timings.json``, which the bench kind writes.
+parser, the CLI and ``run_scenario`` all read that table, ``KINDS``.
+``make_spec`` is the only way a spec is built from text: ``parse_config``
+and the CLI both return what it builds. Each scenario writes a data CSV
+plus a JSON summary into the output directory, every file through
+``_create``, and only after its values have been checked; re-running a
+scenario with the same spec reproduces the files bit for bit. Wall times
+go only to ``<name>.timings.json``, which the bench kind writes.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import re
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import IO, Callable, NamedTuple
 
 import numpy as np
 
@@ -87,16 +90,12 @@ _PARSERS: dict[str, Callable[[str], object]] = {
     "int": int,
     "float": _parse_float,
     "bool": _parse_bool,
-    "str": str.strip,
     "floats": _parse_floats,
     "ints": _parse_ints,
     "matrix": _parse_matrix,
 }
 
-_COMMON_KEYS: dict[str, tuple[str, object]] = {
-    "seed": ("int", 0),
-    "out": ("str", None),
-}
+_COMMON_KEYS: dict[str, tuple[str, object]] = {"seed": ("int", 0)}
 
 
 @dataclass(frozen=True)
@@ -106,7 +105,6 @@ class ScenarioSpec:
     name: str
     kind: str
     params: dict
-    output_path: str | None = None
 
 
 @dataclass
@@ -152,7 +150,8 @@ class ScenarioKind(NamedTuple):
 
     ``run(params, csv_path, summary)`` writes ``csv_path`` and fills
     ``summary``, which also carries the run's kind and seed; any other file
-    it writes beside ``csv_path`` it lists in ``summary.files``.
+    it writes beside ``csv_path`` it lists in ``summary.files``. It checks
+    every value before it writes, so a rejected scenario leaves nothing.
     """
 
     schema: dict[str, tuple[str, object]]
@@ -174,8 +173,13 @@ def _declares(**schemas: dict[str, tuple[str, object]]):
     return register
 
 
-def validate_params(kind: str, raw: dict[str, str], lines: dict[str, int] | None = None) -> dict:
-    """Type-check raw string params against the keys of ``kind``; absent keys take their defaults."""
+def make_spec(
+    name: str, kind: str, raw: dict[str, str], lines: dict[str, int] | None = None
+) -> ScenarioSpec:
+    """Scenario ``name`` of ``kind``, each raw value typed; absent keys take their defaults.
+
+    ``lines`` maps keys to the config lines they came from, for the errors.
+    """
     lines = lines or {}
     if kind not in KINDS:
         where = f" (line {lines['kind']})" if "kind" in lines else ""
@@ -191,7 +195,7 @@ def validate_params(kind: str, raw: dict[str, str], lines: dict[str, int] | None
             params[key] = _PARSERS[type_name](text)
         except ValueError as exc:
             raise ConfigError(f"bad value for {key!r}: {exc}{where}") from None
-    return params
+    return ScenarioSpec(name, kind, params)
 
 
 def check_scenario_name(name: str, where: str = "") -> str:
@@ -226,10 +230,7 @@ def parse_config(text: str) -> list[ScenarioSpec]:
             return
         if "kind" not in raw:
             raise ConfigError(f"scenario {name!r} (line {section_line}) is missing 'kind'")
-        kind = raw.pop("kind").strip()
-        params = validate_params(kind, raw, lines)
-        out = params.pop("out")
-        specs.append(ScenarioSpec(name=name, kind=kind, params=params, output_path=out))
+        specs.append(make_spec(name, raw.pop("kind").strip(), raw, lines))
 
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -315,8 +316,27 @@ def build_chain(params: dict) -> SemiMarkovChain:
     )
 
 
+def _protocol_config(
+    params: dict, acceptance: float | SemiMarkovChain | None, seed: int
+) -> ProtocolConfig:
+    return _checked(
+        ProtocolConfig,
+        {"n_per_community": "n"},
+        n_per_community=params["n"],
+        horizon=params["horizon"],
+        acceptance=acceptance,
+        seed=seed,
+    )
+
+
+def _create(path: Path) -> IO[str]:
+    """Open ``path`` for writing text, making its directory first."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path.open("w", encoding="utf-8", newline="")
+
+
 def _write_rows(path: Path, header: tuple[str, ...], rows: list[list]) -> None:
-    with path.open("w", encoding="utf-8", newline="") as fp:
+    with _create(path) as fp:
         writer = csv.writer(fp, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -360,20 +380,13 @@ def _nash(params: dict, csv_path: Path, summary: RunSummary) -> None:
     },
 )
 def _protocol(params: dict, csv_path: Path, summary: RunSummary) -> None:
-    cfg = _checked(
-        ProtocolConfig,
-        {"n_per_community": "n"},
-        n_per_community=params["n"],
-        horizon=params["horizon"],
-        acceptance=(
-            _probability("c", params["c"]) if "c" in params
-            else build_chain(params) if "c_states" in params
-            else None
-        ),
-        seed=summary.seed,
+    acceptance = (
+        _probability("c", params["c"]) if "c" in params
+        else build_chain(params) if "c_states" in params
+        else None
     )
-    records = run_protocol(cfg)
-    with csv_path.open("w", encoding="utf-8", newline="") as fp:
+    records = run_protocol(_protocol_config(params, acceptance, summary.seed))
+    with _create(csv_path) as fp:
         write_trace_csv(records, fp)
     last = records[-1]
     summary.final_p_r = last.p_r
@@ -408,15 +421,8 @@ def _sweep_c(params: dict, csv_path: Path, summary: RunSummary) -> None:
     for c_idx, c in enumerate(params["c_grid"]):
         per_seed = []
         for rep in range(params["seeds"]):
-            cfg = _checked(
-                ProtocolConfig,
-                {"n_per_community": "n"},
-                n_per_community=params["n"],
-                horizon=params["horizon"],
-                acceptance=c,
-                seed=child_seed(summary.seed, "sweep", c_idx, rep),
-            )
-            records = run_protocol(cfg)
+            seed = child_seed(summary.seed, "sweep", c_idx, rep)
+            records = run_protocol(_protocol_config(params, c, seed))
             tail = [r.segregation for r in records if r.t > records[-1].t // 2]
             per_seed.append(float(np.mean(tail)))
         tails[c] = float(np.mean(per_seed))
@@ -437,21 +443,11 @@ def _sweep_c(params: dict, csv_path: Path, summary: RunSummary) -> None:
     "record_every": ("int", 100),
 })
 def _opinion(params: dict, csv_path: Path, summary: RunSummary) -> None:
-    cfg = _checked(
-        OpinionConfig,
-        {"acceptance": "c"},
-        n_agents=params["n_agents"],
-        radius=params["radius"],
-        learning_rate=params["learning_rate"],
-        exploration=params["exploration"],
-        acceptance=params["c"],
-        with_recommender=params["with_recommender"],
-        horizon=params["horizon"],
-        record_every=params["record_every"],
-        seed=summary.seed,
-    )
+    # the kind's keys are OpinionConfig's fields, with c for acceptance
+    fields = {key: value for key, value in params.items() if key != "c"}
+    cfg = _checked(OpinionConfig, {"acceptance": "c"}, acceptance=params["c"], **fields)
     records = run_opinion(cfg)
-    with csv_path.open("w", encoding="utf-8", newline="") as fp:
+    with _create(csv_path) as fp:
         write_opinion_csv(records, fp)
     summary.final_segregation = records[-1].segregation
     summary.extras = {
@@ -494,7 +490,7 @@ def _bench(params: dict, csv_path: Path, summary: RunSummary) -> None:
     _write_rows(csv_path, ("n", "recommended", "accepted"), rows)
     ratios = [seconds[b] / seconds[a] for a, b in zip(sizes, sizes[1:])]
     timings_path = csv_path.with_name(f"{csv_path.stem}.timings.json")
-    with timings_path.open("w", encoding="utf-8") as fp:
+    with _create(timings_path) as fp:
         json.dump({"seconds": seconds, "ratios": ratios}, fp, indent=2, allow_nan=False)
         fp.write("\n")
     summary.files.append(timings_path.name)
@@ -538,8 +534,8 @@ def run_scenario(spec: ScenarioSpec, out_dir: str | Path = ".") -> RunSummary:
     the returned summary's ``files`` also names ``<name>.summary.json``.
     """
     t0 = time.perf_counter()
-    base = Path(spec.output_path) if spec.output_path else Path(out_dir)
-    base.mkdir(parents=True, exist_ok=True)
+    base = Path(out_dir)
+    check_scenario_name(spec.name)
     summary = RunSummary(scenario=spec.name, kind=spec.kind, seed=spec.params.get("seed", 0))
     csv_path = base / f"{spec.name}.csv"
     KINDS[spec.kind].run(spec.params, csv_path, summary)
@@ -547,7 +543,7 @@ def run_scenario(spec: ScenarioSpec, out_dir: str | Path = ".") -> RunSummary:
 
     summary.wall_time_s = time.perf_counter() - t0
     summary_path = base / f"{spec.name}.summary.json"
-    with summary_path.open("w", encoding="utf-8") as fp:
+    with _create(summary_path) as fp:
         json.dump(summary.to_json_dict(), fp, indent=2, sort_keys=True, allow_nan=False)
         fp.write("\n")
     summary.files.append(summary_path.name)

@@ -10,15 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgegame import experiments
-from edgegame.cli import main
+from edgegame.cli import _spec_from_args, build_parser, main
 from edgegame.dynamics import ProtocolConfig
 from edgegame.experiments import (
     KINDS,
     ConfigError,
     ScenarioSpec,
+    make_spec,
     parse_config,
     run_scenario,
-    validate_params,
 )
 from edgegame.opinion import OpinionConfig
 
@@ -45,13 +45,12 @@ def test_parse_minimal_scenario_fills_defaults():
 def test_scenario_defaults_match_the_config_defaults():
     # `edgegame opinion` and OpinionConfig() (which layerbench's opinion
     # workload builds) must run the same model
-    params = validate_params("opinion", {})
-    params.pop("out")
+    params = make_spec("op", "opinion", {}).params
     params["acceptance"] = params.pop("c")
     assert OpinionConfig(**params) == OpinionConfig()
     default = ProtocolConfig()
     for kind in ("protocol1", "protocol2"):
-        params = validate_params(kind, {})
+        params = make_spec(kind, kind, {}).params
         assert (params["n"], params["horizon"]) == (default.n_per_community, default.horizon)
 
 
@@ -65,9 +64,11 @@ def test_parse_unknown_kind():
         parse_config("[scenario a]\nkind = protocol9\n")
 
 
-def test_parse_unknown_key_names_line():
-    with pytest.raises(ConfigError, match="line 3"):
-        parse_config("[scenario a]\nkind = protocol2\nbogus = 1\n")
+# the output directory comes only from the command line, so `out` is unknown too
+@pytest.mark.parametrize("line", ["bogus = 1", "out = elsewhere"], ids=["bogus", "out"])
+def test_parse_unknown_key_names_line(line):
+    with pytest.raises(ConfigError, match=r"unknown key .*line 3"):
+        parse_config(f"[scenario a]\nkind = protocol2\n{line}\n")
 
 
 def test_parse_type_mismatch_names_line():
@@ -115,9 +116,39 @@ def test_parse_matrix_and_lists():
     assert spec.params["transition"] == ((0.2, 0.8, 0.0), (0.0, 0.5, 0.5), (1.0, 0.0, 0.0))
 
 
-def test_validate_params_rejects_unknown_kind():
+def test_make_spec_rejects_unknown_kind():
     with pytest.raises(ConfigError):
-        validate_params("nonsense", {})
+        make_spec("a", "nonsense", {})
+
+
+# Per type, two value texts that parse to different values, so one of them
+# differs from any default.
+NON_DEFAULT_TEXT = {
+    "int": ("3", "4"),
+    "float": ("0.25", "0.5"),
+    "bool": ("true", "false"),
+    "floats": ("0.25,0.5", "0.5,0.75"),
+    "ints": ("5,7", "6,8"),
+    "matrix": ("0.25,0.75;0.5,0.5", "0.5,0.5;0.25,0.75"),
+}
+
+
+@pytest.mark.parametrize("kind", list(KINDS))
+def test_cli_flags_and_config_text_build_the_same_spec(kind):
+    schema = {"seed": ("int", 0), **KINDS[kind].schema}
+    defaults = make_spec("s", kind, {}).params
+    assert list(defaults) == list(schema)
+    raw = {}
+    for key, (type_name, _) in schema.items():
+        parsed = {t: make_spec("s", kind, {key: t}).params[key] for t in NON_DEFAULT_TEXT[type_name]}
+        raw[key] = next(t for t, value in parsed.items() if value != defaults[key])
+    argv = [kind.replace("_", "-"), "--name", "s"]
+    config = f"[scenario s]\nkind = {kind}\n"
+    for key, text in raw.items():
+        argv += [f"--{key.replace('_', '-')}", text]
+        config += f"{key} = {text}\n"
+    from_flags = _spec_from_args(build_parser().parse_args(argv))
+    assert parse_config(config) == [from_flags]
 
 
 # Derandomized and bounded, so every run tries the same examples quickly.
@@ -135,12 +166,12 @@ VALUE_TEXT = st.one_of(
 @FUZZ
 @given(data=st.data())
 def test_any_value_text_parses_or_is_config_error(kind, data):
-    keys = ["seed", "out", *KINDS[kind].schema]
+    keys = ["seed", *KINDS[kind].schema]
     raw = data.draw(st.fixed_dictionaries({key: VALUE_TEXT for key in keys}))
     # one key at a time, since parsing stops at the first bad value
     for key, text in raw.items():
         try:
-            validate_params(kind, {key: text})
+            make_spec("fuzz", kind, {key: text})
         except ConfigError:
             pass
 
@@ -151,7 +182,7 @@ CONFIG_LINE = st.one_of(
     st.builds("kind = {}".format, st.one_of(st.sampled_from(sorted(KINDS)), st.text(max_size=6))),
     st.builds(
         "{} = {}".format,
-        st.sampled_from(sorted({"seed", "out", *(k for kind in KINDS.values() for k in kind.schema)})),
+        st.sampled_from(sorted({"seed", *(k for kind in KINDS.values() for k in kind.schema)})),
         VALUE_TEXT,
     ),
 )
@@ -182,6 +213,15 @@ def test_nash_scenario_summary(tmp_path):
     last = lines[-1].split(",")
     assert abs(float(last[1]) - 0.75) < 1e-9
     assert abs(float(last[2]) - 0.75) < 1e-9
+
+
+@pytest.mark.parametrize("name", ["a/b", "..", ""])
+def test_run_scenario_rejects_a_name_that_is_not_a_file_stem(tmp_path, name):
+    # a spec built without parse_config or the CLI must not write outside
+    # its output directory or make directories inside it
+    with pytest.raises(ConfigError, match="not a plain file stem"):
+        run_scenario(ScenarioSpec(name, "nash", {"c": 0.8, "seed": 0}), tmp_path / "out")
+    assert not list(tmp_path.iterdir())
 
 
 def test_protocol1_scenario(tmp_path):
@@ -400,8 +440,9 @@ def test_cli_bad_flag_value_is_config_error(tmp_path, capsys):
 )
 def test_cli_out_of_range_value_is_config_error(tmp_path, capsys, argv, key):
     # these exited 1, wrote NaN into the summary, or kept one of two
-    # results for a repeated value, before they were checked as configuration
-    code = main(argv + ["--out-dir", str(tmp_path)])
+    # results for a repeated value, before they were checked as configuration;
+    # a rejected scenario writes nothing, not even its output directory
+    code = main(argv + ["--out-dir", str(tmp_path / "out")])
     assert code == 2
     assert f"bad value for {key!r}" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
