@@ -16,6 +16,7 @@ from .experiments import (
     KINDS,
     ConfigError,
     ScenarioSpec,
+    check_scenario,
     make_spec,
     parse_config,
     run_scenario,
@@ -26,9 +27,7 @@ DEFAULT_OUT_DIR = "out"
 
 
 def _add_kind_parser(subparsers, kind: str) -> None:
-    command = kind.replace("_", "-")
-    aliases = [kind] if command != kind else []
-    sub = subparsers.add_parser(command, aliases=aliases, help=f"run one '{kind}' scenario")
+    sub = subparsers.add_parser(kind.replace("_", "-"), help=f"run one '{kind}' scenario")
     sub.add_argument("--name", default=kind, help="scenario name (file stem)")
     sub.add_argument("--seed", default=None, metavar="V", help="master seed")
     sub.add_argument("--out-dir", default=None, help="output directory")
@@ -89,12 +88,14 @@ def _run_config(args: argparse.Namespace) -> int:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     out_dir = _out_dir(args.out_dir)
-    for spec in parse_config(text):
+    runs = []
+    for spec in parse_config(text):  # every scenario is checked before the first runs
         try:
-            summary = run_scenario(spec, out_dir)
+            runs.append(check_scenario(spec, out_dir))
         except ConfigError as exc:
             raise ConfigError(f"scenario {spec.name!r}: {exc}") from None
-        print(summary_line(summary))
+    for run in runs:
+        print(summary_line(run()))
     return 0
 
 

@@ -68,9 +68,6 @@ class SemiMarkovChain:
         self.initial_state = int(initial_state)
         self._cum = np.cumsum(self.transition, axis=1)
 
-    def __repr__(self) -> str:
-        return f"SemiMarkovChain(states={self.states}, holding_time={self.holding_time})"
-
 
 def step_semi_markov(chain: SemiMarkovChain, state: int, t: int, rng: np.random.Generator) -> int:
     """Advance the chain from ``state`` at time t to t+1 and return the next state index.

@@ -24,7 +24,7 @@ import re
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Callable, NamedTuple
+from typing import IO, Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -148,14 +148,15 @@ class RunSummary:
 class ScenarioKind(NamedTuple):
     """A kind's keys, name -> (type, default), and its runner.
 
-    ``run(params, csv_path, summary)`` writes ``csv_path`` and fills
-    ``summary``, which also carries the run's kind and seed; any other file
-    it writes beside ``csv_path`` it lists in ``summary.files``. It checks
-    every value before it writes, so a rejected scenario leaves nothing.
+    ``run(params, csv_path, summary)`` is a generator that checks every
+    value and yields once before it writes, so a rejected scenario leaves
+    nothing. Resumed, it writes ``csv_path`` and fills ``summary``, which
+    also carries the run's kind and seed; any other file it writes beside
+    ``csv_path`` it lists in ``summary.files``.
     """
 
     schema: dict[str, tuple[str, object]]
-    run: Callable[[dict, Path, RunSummary], None]
+    run: Callable[[dict, Path, RunSummary], Iterator[None]]
 
 
 # Every scenario kind, in the order the CLI lists them; filled by ``_declares``.
@@ -348,9 +349,10 @@ def _write_rows(path: Path, header: tuple[str, ...], rows: list[list]) -> None:
 
 
 @_declares(nash={"c": ("float", 0.8)})
-def _nash(params: dict, csv_path: Path, summary: RunSummary) -> None:
+def _nash(params: dict, csv_path: Path, summary: RunSummary) -> Iterator[None]:
     c = params["c"]
     result = _checked(nash_equilibrium, {"acceptance": "c"}, acceptance=c)
+    yield
     summary.final_p_r = result.strategy.p_r
     summary.final_p_b = result.strategy.p_b
     summary.reference_p = result.strategy.p_r
@@ -379,13 +381,15 @@ def _nash(params: dict, csv_path: Path, summary: RunSummary) -> None:
         "initial_state": ("int", 0),
     },
 )
-def _protocol(params: dict, csv_path: Path, summary: RunSummary) -> None:
+def _protocol(params: dict, csv_path: Path, summary: RunSummary) -> Iterator[None]:
     acceptance = (
         _probability("c", params["c"]) if "c" in params
         else build_chain(params) if "c_states" in params
         else None
     )
-    records = run_protocol(_protocol_config(params, acceptance, summary.seed))
+    cfg = _protocol_config(params, acceptance, summary.seed)
+    yield
+    records = run_protocol(cfg)
     with _create(csv_path) as fp:
         write_trace_csv(records, fp)
     last = records[-1]
@@ -411,11 +415,13 @@ def _protocol(params: dict, csv_path: Path, summary: RunSummary) -> None:
     "c_grid": ("floats", (0.6, 0.7, 0.8, 0.9, 1.0)),
     "seeds": ("int", 50),
 })
-def _sweep_c(params: dict, csv_path: Path, summary: RunSummary) -> None:
+def _sweep_c(params: dict, csv_path: Path, summary: RunSummary) -> Iterator[None]:
     _at_least_one("seeds", [params["seeds"]])
     _distinct("c_grid", [format_float(c) for c in params["c_grid"]])
     for c in params["c_grid"]:
         _probability("c_grid", c)
+    _protocol_config(params, None, summary.seed)  # checks n and horizon
+    yield
     rows = []
     tails = {}
     for c_idx, c in enumerate(params["c_grid"]):
@@ -442,10 +448,11 @@ def _sweep_c(params: dict, csv_path: Path, summary: RunSummary) -> None:
     "horizon": ("int", 20000),
     "record_every": ("int", 100),
 })
-def _opinion(params: dict, csv_path: Path, summary: RunSummary) -> None:
+def _opinion(params: dict, csv_path: Path, summary: RunSummary) -> Iterator[None]:
     # the kind's keys are OpinionConfig's fields, with c for acceptance
     fields = {key: value for key, value in params.items() if key != "c"}
     cfg = _checked(OpinionConfig, {"acceptance": "c"}, acceptance=params["c"], **fields)
+    yield
     records = run_opinion(cfg)
     with _create(csv_path) as fp:
         write_opinion_csv(records, fp)
@@ -462,7 +469,7 @@ def _opinion(params: dict, csv_path: Path, summary: RunSummary) -> None:
     "repeats": ("int", 3),
     "c": ("float", 0.8),
 })
-def _bench(params: dict, csv_path: Path, summary: RunSummary) -> None:
+def _bench(params: dict, csv_path: Path, summary: RunSummary) -> Iterator[None]:
     seed = summary.seed
     sizes = list(params["sizes"])
     _at_least_one("sizes", sizes)
@@ -471,6 +478,7 @@ def _bench(params: dict, csv_path: Path, summary: RunSummary) -> None:
     p = params["p"]
     pair = _checked(StrategyPair, {"p_r": "p", "p_b": "p"}, p_r=p, p_b=p)
     c = _probability("c", params["c"])
+    yield
     graphs = {}
     outcomes = {}
     for n in sizes:
@@ -505,7 +513,7 @@ def _bench(params: dict, csv_path: Path, summary: RunSummary) -> None:
     "grid": ("int", 201),
     "horizon": ("int", 50),
 })
-def _verify_myopic(params: dict, csv_path: Path, summary: RunSummary) -> None:
+def _verify_myopic(params: dict, csv_path: Path, summary: RunSummary) -> Iterator[None]:
     chain = build_chain(params)
     report = _checked(
         verify_myopic_optimality,
@@ -515,6 +523,7 @@ def _verify_myopic(params: dict, csv_path: Path, summary: RunSummary) -> None:
         action_grid_size=params["grid"],
         horizon=params["horizon"],
     )
+    yield
     rows = [
         [idx, format_float(c), format_float(a)]
         for idx, (c, a) in enumerate(zip(chain.states, report.myopic_actions))
@@ -527,27 +536,37 @@ def _verify_myopic(params: dict, csv_path: Path, summary: RunSummary) -> None:
     }
 
 
-def run_scenario(spec: ScenarioSpec, out_dir: str | Path = ".") -> RunSummary:
-    """Execute one scenario and write its data CSV and JSON summary.
+def check_scenario(spec: ScenarioSpec, out_dir: str | Path = ".") -> Callable[[], RunSummary]:
+    """Check every value of one scenario, writing nothing; return the call that runs it.
 
-    The summary on disk lists every file the scenario wrote except itself;
-    the returned summary's ``files`` also names ``<name>.summary.json``.
+    The call writes the data CSV and the JSON summary. The summary on disk
+    lists every file the scenario wrote except itself; the returned one also
+    names ``<name>.summary.json``.
     """
-    t0 = time.perf_counter()
-    base = Path(out_dir)
     check_scenario_name(spec.name)
     summary = RunSummary(scenario=spec.name, kind=spec.kind, seed=spec.params.get("seed", 0))
-    csv_path = base / f"{spec.name}.csv"
-    KINDS[spec.kind].run(spec.params, csv_path, summary)
-    summary.files.append(csv_path.name)
+    csv_path = Path(out_dir) / f"{spec.name}.csv"
+    runner = KINDS[spec.kind].run(spec.params, csv_path, summary)
+    next(runner)
 
-    summary.wall_time_s = time.perf_counter() - t0
-    summary_path = base / f"{spec.name}.summary.json"
-    with _create(summary_path) as fp:
-        json.dump(summary.to_json_dict(), fp, indent=2, sort_keys=True, allow_nan=False)
-        fp.write("\n")
-    summary.files.append(summary_path.name)
-    return summary
+    def run() -> RunSummary:
+        t0 = time.perf_counter()
+        next(runner, None)  # resumes the runner after its one yield and runs it to its end
+        summary.files.append(csv_path.name)
+        summary.wall_time_s = time.perf_counter() - t0
+        summary_path = csv_path.with_name(f"{spec.name}.summary.json")
+        with _create(summary_path) as fp:
+            json.dump(summary.to_json_dict(), fp, indent=2, sort_keys=True, allow_nan=False)
+            fp.write("\n")
+        summary.files.append(summary_path.name)
+        return summary
+
+    return run
+
+
+def run_scenario(spec: ScenarioSpec, out_dir: str | Path = ".") -> RunSummary:
+    """Check one scenario, then run it; see ``check_scenario``."""
+    return check_scenario(spec, out_dir)()
 
 
 def summary_line(summary: RunSummary) -> str:

@@ -39,7 +39,6 @@ class Regime(enum.Enum):
 class EquilibriumResult:
     strategy: StrategyPair
     regime: Regime
-    acceptance_probability: float
 
 
 # --- realized (per-snapshot) utilities ---------------------------------
@@ -138,9 +137,9 @@ def nash_equilibrium(acceptance: float) -> EquilibriumResult:
     if not 0.0 <= acceptance <= 1.0:
         raise ValueError(f"acceptance must be in [0, 1], got {acceptance}")
     if acceptance <= 0.5:
-        return EquilibriumResult(StrategyPair(1.0, 1.0), Regime.SEGREGATION, acceptance)
+        return EquilibriumResult(StrategyPair(1.0, 1.0), Regime.SEGREGATION)
     p = _integration_p(acceptance)
-    return EquilibriumResult(StrategyPair(p, p), Regime.INTEGRATION, acceptance)
+    return EquilibriumResult(StrategyPair(p, p), Regime.INTEGRATION)
 
 
 def iterated_dominance(acceptance: float, iterations: int) -> list[tuple[float, float]]:

@@ -13,9 +13,6 @@ from typing import Iterable
 
 import numpy as np
 
-RED = 0
-BLUE = 1
-
 
 def segregation_value(inter_edges: int, n_red: int, n_blue: int) -> float:
     """Segregation score from an inter-community edge count.
@@ -44,44 +41,27 @@ class DirectedGraph:
     (``add_edges``) is reserved for the single writer between steps.
     """
 
-    __slots__ = ("_n", "adj")
+    __slots__ = ("n_per_community", "adj")
 
     def __init__(self, n_per_community: int, edges: Iterable[tuple[int, int]] = ()):
         if n_per_community < 1:
             raise ValueError("n_per_community must be >= 1")
-        self._n = int(n_per_community)
-        self.adj = np.zeros((2 * self._n, 2 * self._n), dtype=bool)
+        self.n_per_community = int(n_per_community)
+        size = 2 * self.n_per_community
+        self.adj = np.zeros((size, size), dtype=bool)
         self.add_edges(edges)
 
-    @property
-    def n_per_community(self) -> int:
-        return self._n
-
-    @property
-    def num_edges(self) -> int:
-        return int(np.count_nonzero(self.adj))
-
-    @property
-    def inter_edges(self) -> int:
-        n = self._n
-        return int(np.count_nonzero(self.adj[:n, n:]) + np.count_nonzero(self.adj[n:, :n]))
-
-    def community(self, v: int) -> int:
-        """RED for indices below ``n_per_community``, BLUE above."""
-        self._check_node(v)
-        return RED if v < self._n else BLUE
-
     def _check_node(self, v: int) -> None:
-        if not 0 <= v < 2 * self._n:
-            raise ValueError(f"node {v} out of range for 2N={2 * self._n}")
+        if not 0 <= v < len(self.adj):
+            raise ValueError(f"node {v} out of range for 2N={len(self.adj)}")
 
     def has_edge(self, u: int, v: int) -> bool:
         self._check_node(u)
         self._check_node(v)
         return bool(self.adj[u, v])
 
-    def add_edges(self, pairs: Iterable[tuple[int, int]] | np.ndarray) -> int:
-        """Insert every pair (u, v) of ``pairs``; returns how many were new.
+    def add_edges(self, pairs: Iterable[tuple[int, int]] | np.ndarray) -> None:
+        """Insert every pair (u, v) of ``pairs``; an existing edge stays as it is.
 
         Accepts pairs or a (k, 2) integer array. Every pair is checked (both
         nodes in range, no self-loop) before any is inserted, so a bad pair
@@ -89,7 +69,7 @@ class DirectedGraph:
         """
         uv = np.asarray(pairs if isinstance(pairs, np.ndarray) else list(pairs), dtype=np.intp)
         if uv.size == 0:
-            return 0
+            return
         if uv.ndim != 2 or uv.shape[1] != 2:
             raise ValueError("pairs must be (u, v) pairs")
         self._check_node(int(uv.min()))
@@ -97,14 +77,7 @@ class DirectedGraph:
         u, v = uv.T
         if np.any(u == v):
             raise ValueError("self-loops are not allowed")
-        before = np.count_nonzero(self.adj)
         self.adj[u, v] = True
-        return np.count_nonzero(self.adj) - before
-
-    def sorted_edges(self) -> list[tuple[int, int]]:
-        """Every edge as a (src, dst) pair, in lexicographic order."""
-        src, dst = np.nonzero(self.adj)
-        return list(zip(src.tolist(), dst.tolist()))
 
     @classmethod
     def from_adjacency(cls, adj: np.ndarray, n_per_community: int) -> "DirectedGraph":
@@ -115,22 +88,21 @@ class DirectedGraph:
         if np.any(np.diagonal(adj)):
             raise ValueError("adjacency has self-loops on the diagonal")
         g = cls.__new__(cls)
-        g._n = int(n_per_community)
+        g.n_per_community = int(n_per_community)
         g.adj = np.array(adj, dtype=bool)
         return g
-
-    def __repr__(self) -> str:
-        return f"DirectedGraph(n_per_community={self._n}, edges={self.num_edges})"
 
 
 def inter_edge_count(g: DirectedGraph) -> int:
     """Number of directed edges whose endpoints are in different communities."""
-    return g.inter_edges
+    n = g.n_per_community
+    return int(np.count_nonzero(g.adj[:n, n:]) + np.count_nonzero(g.adj[n:, :n]))
 
 
 def segregation_measure(g: DirectedGraph) -> float:
     """Segregation of the graph: 1 minus realized over maximal cross edges."""
-    return segregation_value(g.inter_edges, g.n_per_community, g.n_per_community)
+    n = g.n_per_community
+    return segregation_value(inter_edge_count(g), n, n)
 
 
 def two_hop_support(adj: np.ndarray, n: int) -> np.ndarray:

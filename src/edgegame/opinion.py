@@ -286,13 +286,11 @@ def run_opinion(cfg: OpinionConfig) -> list[OpinionRecord]:
     return records
 
 
-def tail_mean_segregation(records: Sequence[OpinionRecord], fraction: float = 0.1) -> float:
-    """Mean segregation over the trailing ``fraction`` of the records."""
+def tail_mean_segregation(records: Sequence[OpinionRecord]) -> float:
+    """Mean segregation over the trailing tenth of the records, at least one."""
     if not records:
         raise ValueError("no records")
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError("fraction must be in (0, 1]")
-    k = max(1, int(len(records) * fraction))
+    k = max(1, len(records) // 10)
     return float(np.mean([r.segregation for r in records[-k:]]))
 
 

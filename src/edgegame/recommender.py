@@ -48,12 +48,13 @@ def recommendation_probability(g: DirectedGraph, i: int, j: int) -> float:
     n - 1 (both link directions count), so the ratio is clamped to 1.
     The pair's support is counted directly, in O(n).
     """
-    if g.community(i) == g.community(j):
+    exists = g.has_edge(i, j)  # checks both nodes first
+    n, adj = g.n_per_community, g.adj
+    if (i < n) == (j < n):
         raise ValueError("recommendation_probability requires i, j in different communities")
-    if g.has_edge(i, j):
+    if exists:
         raise ValueError(f"edge ({i}, {j}) already exists; pair is never proposed")
     # two_hop_support's count for this one pair, from j's community alone
-    n, adj = g.n_per_community, g.adj
     own = slice(n, 2 * n) if j >= n else slice(0, n)
     count = int(adj[own, j] @ (adj[i, own].astype(np.int64) + adj[own, i]))
     if count == 0:

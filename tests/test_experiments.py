@@ -394,15 +394,26 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-def test_cli_run_names_the_scenario_of_a_bad_value(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "kind, key, value",
+    [
+        ("protocol2", "c", "1.5"),
+        ("protocol3", "initial_state", "5"),
+        ("sweep_c", "n", "0"),
+        ("opinion", "radius", "0"),
+        ("bench", "repeats", "0"),
+        ("verify_myopic", "gamma", "1"),
+    ],
+)
+def test_cli_run_names_the_scenario_of_a_bad_value(tmp_path, capsys, kind, key, value):
     cfg = tmp_path / "scenarios.txt"
-    cfg.write_text("[scenario a]\nkind = nash\n\n[scenario b]\nkind = protocol2\nc = 1.5\n")
+    cfg.write_text(f"[scenario a]\nkind = nash\n\n[scenario b]\nkind = {kind}\n{key} = {value}\n")
     out = tmp_path / "out"
     assert main(["run", str(cfg), "--out-dir", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "scenario 'b'" in err and "bad value for 'c'" in err
-    # run stops at the failing scenario and keeps the files of those before it
-    assert sorted(path.name for path in out.iterdir()) == ["a.csv", "a.summary.json"]
+    assert "scenario 'b'" in err and f"bad value for {key!r}" in err
+    # every scenario is checked before the first runs, so the valid one wrote nothing
+    assert not out.exists()
 
 
 def test_cli_missing_config_is_config_error(tmp_path):

@@ -269,7 +269,6 @@ def test_nash_equilibrium_examples():
     r = nash_equilibrium(0.8)
     assert (r.strategy.p_r, r.strategy.p_b) == (0.75, 0.75)
     assert r.regime is Regime.INTEGRATION
-    assert r.acceptance_probability == 0.8
 
     r = nash_equilibrium(0.3)
     assert (r.strategy.p_r, r.strategy.p_b) == (1.0, 1.0)

@@ -341,15 +341,14 @@ def test_recommender_holds_tail_segregation_down_long_run():
     assert float(np.mean(with_tails)) < float(np.mean(without_tails))
 
 
-def test_tail_mean_segregation_rejects_fractions_outside_unit_interval():
-    records = run_opinion(OpinionConfig(horizon=300, record_every=100, seed=8))
-    assert tail_mean_segregation(records, 1.0) == pytest.approx(
-        np.mean([r.segregation for r in records])
-    )
-    assert tail_mean_segregation(records, 0.01) == records[-1].segregation
-    for fraction in (0.0, -1.0, 1.5, float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="fraction"):
-            tail_mean_segregation(records, fraction)
+def test_tail_mean_segregation_averages_the_last_tenth():
+    records = run_opinion(OpinionConfig(horizon=2000, record_every=100, seed=8))
+    assert len(records) == 21
+    assert tail_mean_segregation(records) == np.mean([r.segregation for r in records[-2:]])
+    # a tenth of 4 records rounds down to none, and the last one is kept
+    assert tail_mean_segregation(records[:4]) == records[3].segregation
+    with pytest.raises(ValueError, match="no records"):
+        tail_mean_segregation([])
 
 
 def test_opinion_csv_format():

@@ -58,6 +58,12 @@ def test_probability_contract_errors():
         recommendation_probability(g, 4, 0)  # edge exists
     with pytest.raises(ValueError):
         recommendation_probability(g, 0, 1)  # same community
+    # range is checked first, then community, then the existing edge
+    for i, j in ((0, 8), (0, -1), (8, 0)):
+        with pytest.raises(ValueError, match="out of range"):
+            recommendation_probability(g, i, j)
+    with pytest.raises(ValueError, match="different communities"):
+        recommendation_probability(g, 0, 1)  # (0, 1) is also an edge
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
@@ -127,14 +133,14 @@ def test_outcome_invariants_on_random_graphs():
     for _ in range(25):
         n = int(rng.integers(2, 8))
         g = sample_snapshot(block_matrix(StrategyPair(0.6, 0.7), n), n, rng)
-        before = set(g.sorted_edges())
+        before = g.adj.copy()
         out = run_recommender(g, 0.5, rng)
         for u, v in pairs(out.recommended):
             assert (u < n) != (v < n)
             assert u != v
-            assert (u, v) not in before
+            assert not before[u, v]
         assert set(pairs(out.accepted)) <= set(pairs(out.recommended))
-        assert set(g.sorted_edges()) == before  # pass never mutates the graph
+        assert np.array_equal(g.adj, before)  # pass never mutates the graph
 
 
 def test_empirical_acceptance_rate():
