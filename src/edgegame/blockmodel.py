@@ -52,12 +52,18 @@ def sample_adjacency(table: np.ndarray, n: int, rng: np.random.Generator) -> np.
     order is the row-major order of the 2n x 2n matrix, so each uniform
     meets the probability of its own cell, and the table broadcasts over
     the blocks without being expanded to 2n x 2n.
+
+    A (k, 2, 2) stack of tables gives a (k, 2n, 2n) stack of snapshots
+    from one draw. Its C order puts each snapshot's uniforms after the
+    previous one's, so the stack equals k calls with one table each, and
+    the generator ends where those calls would leave it.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    adj = (rng.random((2, n, 2, n)) < table[:, None, :, None]).reshape(2 * n, 2 * n)
-    np.fill_diagonal(adj, False)
-    return adj
+    lead = table.shape[:-2]
+    adj = rng.random(lead + (2, n, 2, n)) < table[..., :, None, :, None]
+    adj.reshape(lead + (4 * n * n,))[..., :: 2 * n + 1] = False  # the diagonal
+    return adj.reshape(lead + (2 * n, 2 * n))
 
 
 def sample_snapshot(table: np.ndarray, n: int, rng: np.random.Generator) -> DirectedGraph:

@@ -16,13 +16,25 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .blockmodel import StrategyPair, block_matrix, sample_snapshot
+from . import blockmodel
+from .blockmodel import StrategyPair, block_matrix
 from .game import PlayerRole, best_response, expected_utility_rec, nash_equilibrium
-from .graph import inter_edge_count, segregation_measure
-from .recommender import run_recommender
+from .graph import segregation_value
+from .recommender import recommend_stack
 from .seeding import substream
 
+# Not called here; layerbench's tracer TARGETS resolve them here (ROADMAP item 1).
+from .blockmodel import sample_snapshot  # noqa: F401
+from .graph import inter_edge_count, segregation_measure  # noqa: F401
+from .recommender import run_recommender  # noqa: F401
+
 TRACE_COLUMNS = ("t", "p_r", "p_b", "c", "segregation", "inter_edges", "recommended", "accepted")
+
+# Most adjacency cells, summed over its snapshots, of one stack of steps
+# that run_protocol samples and passes at once. A stack holds at least one
+# snapshot, so from n = 46 on each step is a stack of its own. Stacks this
+# small keep an n = 20 run's peak RSS where the step-by-step loop left it.
+STACK_CELLS = 2**13
 
 
 class SemiMarkovChain:
@@ -98,10 +110,12 @@ class ProtocolConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_per_community < 1:
-            raise ValueError("n_per_community must be >= 1")
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
+        for name in ("n_per_community", "horizon"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an int, got {value!r}")
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1")
         c = self.acceptance
         if not (c is None or isinstance(c, SemiMarkovChain) or 0.0 <= c <= 1.0):
             raise ValueError(f"acceptance must be in [0, 1], got {c}")
@@ -129,6 +143,15 @@ def run_protocol(cfg: ProtocolConfig) -> list[TraceRecord]:
     best response while the other holds. Each step then samples a fresh
     snapshot, runs the recommender pass when configured, records metrics
     on the post-pass graph, and finally advances the acceptance chain.
+
+    The strategies never read a snapshot, so the run is planned first:
+    every step's strategies, acceptance and block table, with the
+    ``init`` and ``chain`` draws. The steps then go in stacks of at most
+    ``STACK_CELLS`` cells: one ``sample_adjacency`` draw from ``graph``
+    and one ``recommend_stack`` pass from ``recommend`` per stack, which
+    take the uniforms that step-by-step sampling and passes would take.
+    Accepted pairs are distinct cross non-edges, so a step's post-pass
+    ``inter_edges`` is its snapshot's cross count plus its accepted count.
     """
     init_rng = substream(cfg.seed, "init")
     graph_rng = substream(cfg.seed, "graph")
@@ -141,7 +164,7 @@ def run_protocol(cfg: ProtocolConfig) -> list[TraceRecord]:
     state = chain.initial_state if chain is not None else None
     n = cfg.n_per_community
 
-    records: list[TraceRecord] = []
+    steps = []  # (p_r, p_b, acceptance, block table) of each t
     for t in range(cfg.horizon + 1):
         acceptance = cfg.acceptance if chain is None else chain.states[state]
         if t >= 1:
@@ -154,29 +177,39 @@ def run_protocol(cfg: ProtocolConfig) -> list[TraceRecord]:
                 p_r = response
             else:
                 p_b = response
-
-        g = sample_snapshot(block_matrix(StrategyPair(p_r, p_b), n), n, graph_rng)
-        recommended = accepted = None
-        if acceptance is not None:
-            outcome = run_recommender(g, acceptance, rec_rng)
-            g.add_edges(outcome.accepted)
-            recommended = len(outcome.recommended)
-            accepted = len(outcome.accepted)
-
-        records.append(
-            TraceRecord(
-                t=t,
-                p_r=p_r,
-                p_b=p_b,
-                acceptance_probability=acceptance,
-                segregation=segregation_measure(g),
-                inter_edges=inter_edge_count(g),
-                recommended=recommended,
-                accepted=accepted,
-            )
-        )
+        steps.append((p_r, p_b, acceptance, block_matrix(StrategyPair(p_r, p_b), n)))
         if chain is not None:
             state = step_semi_markov(chain, state, t, chain_rng)
+
+    per_stack = max(1, STACK_CELLS // (4 * n * n))
+    records: list[TraceRecord] = []
+    for start in range(0, len(steps), per_stack):
+        p_rs, p_bs, cs, tables = zip(*steps[start : start + per_stack])
+        k = len(cs)
+        # looked up on the module, so that a rebinding of the sampler sees each draw
+        adj = blockmodel.sample_adjacency(np.stack(tables), n, graph_rng)
+        inter = adj[:, :n, n:].sum(axis=(1, 2)) + adj[:, n:, :n].sum(axis=(1, 2))
+        recommended = accepted = [None] * k
+        if cfg.acceptance is not None:
+            outcome = recommend_stack(adj, cs, rec_rng)
+            # row i of snapshot s is s * 2n + i in the outcome
+            recommended = np.bincount(outcome.recommended[:, 0] // (2 * n), minlength=k)
+            accepted = np.bincount(outcome.accepted[:, 0] // (2 * n), minlength=k)
+            inter += accepted
+            recommended, accepted = recommended.tolist(), accepted.tolist()
+        for s, inter_s in enumerate(inter.tolist()):
+            records.append(
+                TraceRecord(
+                    t=start + s,
+                    p_r=p_rs[s],
+                    p_b=p_bs[s],
+                    acceptance_probability=cs[s],
+                    segregation=segregation_value(inter_s, n, n),
+                    inter_edges=inter_s,
+                    recommended=recommended[s],
+                    accepted=accepted[s],
+                )
+            )
     return records
 
 

@@ -116,17 +116,16 @@ def two_hop_support(adj: np.ndarray, n: int) -> np.ndarray:
     Each cross block adds, per row i, the in-group adjacency rows of i's
     cross contacts, weighted 1 or 2. The sum is integer-exact, and O(n^2)
     when cross contacts are O(n) in total, as in sampled snapshots.
+
+    A (k, 2n, 2n) stack of adjacencies gives the (k, 2n, 2n) stack of
+    their supports in one sequence; a 2n x 2n adjacency is a stack of one.
     """
-    support = np.zeros(adj.shape, dtype=np.int64)
+    stack = adj.reshape((-1,) + adj.shape[-2:])
+    support = np.zeros(stack.shape, dtype=np.int64)
     red, blue = slice(0, n), slice(n, 2 * n)
     for own, other in ((red, blue), (blue, red)):
-        weight = adj[own, other].astype(np.int64) + adj[other, own].T
-        rows, contacts = np.nonzero(weight)
-        if rows.size == 0:
-            continue
-        terms = adj[other, other][contacts] * weight[rows, contacts][:, None]
-        first = np.ones(rows.size, dtype=bool)  # rows come sorted; mark where each starts
-        first[1:] = rows[1:] != rows[:-1]
-        starts = first.nonzero()[0]
-        support[own, other][rows[starts]] = np.add.reduceat(terms, starts, axis=0)
-    return support
+        weight = stack[:, own, other].astype(np.int64) + stack[:, other, own].transpose(0, 2, 1)
+        snaps, rows, contacts = np.nonzero(weight)
+        terms = stack[:, other, other][snaps, contacts] * weight[snaps, rows, contacts][:, None]
+        np.add.at(support[:, own, other], (snaps, rows), terms)
+    return support.reshape(adj.shape)

@@ -17,11 +17,16 @@ proposal probability, and only those are visited one by one, so Python
 work per pass follows the proposals rather than the pairs. As nothing is
 drawn ahead, the generator ends where drawing one uniform at a time would
 leave it, for every bit generator, and no rewind is needed.
+
+A stack of snapshots is passed in one sequence (``recommend_stack``): each
+snapshot's eligible pairs follow the previous snapshot's, so the draws are
+those of the passes run in turn.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -81,14 +86,33 @@ def run_recommender(
     Philox): the pass never rewinds. The pass reads a fixed snapshot:
     pairs accepted earlier in the pass do not feed later proposals. The
     caller applies ``accepted`` to the graph.
+
+    This is ``recommend_stack`` on the stack of one snapshot.
     """
-    if not 0.0 <= acceptance <= 1.0:
-        raise ValueError(f"acceptance must be in [0, 1], got {acceptance}")
-    n = g.n_per_community
-    support = two_hop_support(g.adj, n)
-    support[g.adj] = 0  # existing edges are skipped
+    return recommend_stack(g.adj[None], (acceptance,), rng)
+
+
+def recommend_stack(
+    adj: np.ndarray, acceptance: Sequence[float], rng: np.random.Generator
+) -> RecommendationOutcome:
+    """The passes over a (k, 2n, 2n) stack of snapshots, in turn, as one sequence.
+
+    ``acceptance`` holds one probability in [0, 1] per snapshot. Snapshot
+    s's pass is ``run_recommender`` on ``adj[s]`` with ``acceptance[s]``:
+    its eligible pairs follow those of the snapshots before it, and one
+    run of ``_proposals`` over them all takes from ``rng`` exactly the
+    uniforms that the k passes would take in turn. The outcome's rows
+    number the nodes of the stack in turn: node i of snapshot s is
+    s * 2n + i, so a stack of one gives the plain (i, j) pairs.
+    """
+    if len(acceptance) != len(adj) or not all(0.0 <= c <= 1.0 for c in acceptance):
+        raise ValueError(f"acceptance must be one probability in [0, 1] per snapshot, got {acceptance}")
+    size = adj.shape[-1]
+    n = size // 2
+    support = two_hop_support(adj, n)
+    support[adj] = 0  # existing edges are skipped
     counts = support.ravel()
-    eligible = counts.nonzero()[0]  # row-major: the lexicographic pass order
+    eligible = counts.nonzero()[0]  # row-major: snapshot by snapshot, each in pass order
     if eligible.size == 0:
         none = np.empty((0, 2), dtype=np.intp)
         return RecommendationOutcome(none, none)
@@ -96,9 +120,9 @@ def run_recommender(
     np.minimum(probs, 1.0, out=probs)
     proposed, draws = _proposals(probs, rng)
     recommended = np.empty((proposed.size, 2), dtype=np.intp)
-    np.divmod(eligible[proposed], 2 * n, out=(recommended[:, 0], recommended[:, 1]))
+    np.divmod(eligible[proposed], size, out=(recommended[:, 0], recommended[:, 1]))
     # the s-th proposal (from 0) of pair k drew at k + s, its acceptance at k + s + 1
-    accepted = draws[proposed + np.arange(1, proposed.size + 1)] < acceptance
+    accepted = draws[proposed + np.arange(1, proposed.size + 1)] < np.array(acceptance)[recommended[:, 0] // size]
     return RecommendationOutcome(recommended, recommended[accepted])
 
 

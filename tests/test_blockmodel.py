@@ -158,3 +158,23 @@ def test_sample_adjacency_matches_per_cell_reference(n, pair, table, seed):
     assert adj.dtype == bool
     assert np.array_equal(adj, reference_sample_adjacency(source, n, ref_rng))
     assert rng.random() == ref_rng.random()
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 12),
+    tables=st.lists(
+        st.lists(PROBABILITY, min_size=4, max_size=4).map(lambda ps: np.reshape(ps, (2, 2))),
+        min_size=1,
+        max_size=5,
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sample_adjacency_stack_equals_one_call_per_table(n, tables, seed):
+    # a (k, 2, 2) stack of tables draws the k snapshots of k calls, in turn
+    rng, one_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    stack = sample_adjacency(np.stack(tables), n, rng)
+    assert stack.shape == (len(tables), 2 * n, 2 * n) and stack.dtype == bool
+    for k, table in enumerate(tables):
+        assert np.array_equal(stack[k], sample_adjacency(table, n, one_rng))
+    assert rng.random() == one_rng.random()

@@ -2,22 +2,29 @@
 
 import copy
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from edgegame import dynamics, opinion
+from edgegame.blockmodel import StrategyPair, block_matrix, sample_snapshot
 from edgegame.dynamics import (
     ProtocolConfig,
     SemiMarkovChain,
+    TraceRecord,
     format_float,
     run_protocol,
     step_semi_markov,
     verify_myopic_optimality,
     write_trace_csv,
 )
-from edgegame.game import nash_equilibrium
+from edgegame.game import best_response, nash_equilibrium
+from edgegame.graph import inter_edge_count, segregation_measure
 from edgegame.opinion import OpinionConfig, run_opinion
+from edgegame.recommender import run_recommender
 from edgegame.seeding import substream
 
 
@@ -94,6 +101,14 @@ def test_protocol_config_validation():
             ProtocolConfig(acceptance=bad)
     for good in (None, 0.0, 1.0, two_state_chain()):
         assert ProtocolConfig(acceptance=good).acceptance is good
+
+
+@pytest.mark.parametrize(
+    "field, value", [("n_per_community", 20.5), ("horizon", 2.5), ("n_per_community", True)]
+)
+def test_protocol_config_sizes_must_be_ints(field, value):
+    with pytest.raises(ValueError, match=field):
+        ProtocolConfig(**{field: value})
 
 
 # --- protocol runs -------------------------------------------------------------
@@ -224,6 +239,90 @@ def test_substream_draw_counts_are_pinned(run, monkeypatch):
         fresh = substream(seed, *labels)
         fresh.bit_generator.advance(pinned[labels])
         assert rng.bit_generator.state == fresh.bit_generator.state, labels
+
+
+SUBSTREAMS = ("init", "graph", "recommend", "chain")
+
+
+def reference_run_protocol(cfg):
+    """The protocol one step at a time: sample a snapshot, pass over it, add the accepted pairs, count.
+
+    Returns the records and the run's generator of each substream label.
+    """
+    rngs = {label: substream(cfg.seed, label) for label in SUBSTREAMS}
+    p_r = 1.0 - rngs["init"].random()
+    p_b = 1.0 - rngs["init"].random()
+    chain = cfg.acceptance if isinstance(cfg.acceptance, SemiMarkovChain) else None
+    state = chain.initial_state if chain is not None else None
+    n = cfg.n_per_community
+    records = []
+    for t in range(cfg.horizon + 1):
+        acceptance = cfg.acceptance if chain is None else chain.states[state]
+        if t >= 1:
+            opponent = p_b if t % 2 == 1 else p_r
+            response = 1.0 if acceptance is None else best_response(acceptance, opponent)
+            if t % 2 == 1:
+                p_r = response
+            else:
+                p_b = response
+        g = sample_snapshot(block_matrix(StrategyPair(p_r, p_b), n), n, rngs["graph"])
+        recommended = accepted = None
+        if acceptance is not None:
+            outcome = run_recommender(g, acceptance, rngs["recommend"])
+            g.add_edges(outcome.accepted)
+            recommended, accepted = len(outcome.recommended), len(outcome.accepted)
+        records.append(TraceRecord(t, p_r, p_b, acceptance, segregation_measure(g),
+                                   inter_edge_count(g), recommended, accepted))
+        if chain is not None:
+            state = step_semi_markov(chain, state, t, rngs["chain"])
+    return records, rngs
+
+
+PROBABILITY = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def acceptances(draw):
+    """None (P1), a probability (P2), or a chain of up to three states (P3)."""
+    kind = draw(st.sampled_from(["P1", "P2", "P3"]))
+    if kind == "P1":
+        return None
+    if kind == "P2":
+        return draw(PROBABILITY)
+    k = draw(st.integers(1, 3))
+    weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=k * k, max_size=k * k)))
+    transition = weights.reshape(k, k) / weights.reshape(k, k).sum(axis=1, keepdims=True)
+    states = draw(st.lists(PROBABILITY, min_size=k, max_size=k))
+    return SemiMarkovChain(states, transition, draw(st.integers(1, 20)), draw(st.integers(0, k - 1)))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 30),
+    horizon=st.integers(1, 160),
+    acceptance=acceptances(),
+    seed=st.integers(0, 2**32 - 1),
+)
+# runs of several stacks, with each protocol
+@example(n=26, horizon=160, acceptance=0.8, seed=1)
+@example(n=30, horizon=160, acceptance=two_state_chain(holding=7), seed=2)
+@example(n=29, horizon=150, acceptance=None, seed=3)
+def test_run_protocol_matches_the_step_by_step_reference(n, horizon, acceptance, seed):
+    # the records, and where each substream's generator ends
+    cfg = ProtocolConfig(n_per_community=n, horizon=horizon, acceptance=acceptance, seed=seed)
+    made = {}
+
+    def recording(seed, label):
+        made[label] = substream(seed, label)
+        return made[label]
+
+    with mock.patch.object(dynamics, "substream", recording):
+        records = run_protocol(cfg)
+    expected, rngs = reference_run_protocol(cfg)
+    assert records == expected
+    assert sorted(made) == sorted(SUBSTREAMS)
+    for label in SUBSTREAMS:
+        assert made[label].bit_generator.state == rngs[label].bit_generator.state, label
 
 
 def test_protocol3_tracks_switching_equilibrium():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgegame.graph import (
     DirectedGraph,
@@ -288,3 +290,19 @@ def test_adjacency_round_trip():
         DirectedGraph.from_adjacency(np.eye(6, dtype=bool), 3)
     with pytest.raises(ValueError):
         DirectedGraph.from_adjacency(np.zeros((5, 5), dtype=bool), 3)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 12),
+    k=st.integers(1, 5),
+    density=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_two_hop_support_of_a_stack_equals_one_call_per_snapshot(n, k, density, seed):
+    adj = np.random.default_rng(seed).random((k, 2 * n, 2 * n)) < density
+    adj[:, np.arange(2 * n), np.arange(2 * n)] = False
+    stack = two_hop_support(adj, n)
+    assert stack.shape == adj.shape and stack.dtype == np.int64
+    for s in range(k):
+        assert np.array_equal(stack[s], two_hop_support(adj[s], n))

@@ -9,6 +9,7 @@ from edgegame.blockmodel import StrategyPair, block_matrix, sample_snapshot
 from edgegame.graph import DirectedGraph, two_hop_support
 from edgegame.recommender import (
     RecommendationOutcome,
+    recommend_stack,
     recommendation_probability,
     run_recommender,
 )
@@ -335,3 +336,33 @@ def test_pass_matches_reference_on_any_small_graph(n, density, seed, acceptance,
     np.fill_diagonal(adj, False)
     g = DirectedGraph.from_adjacency(adj, n)
     assert_matches_reference(g, acceptance, lambda: np.random.default_rng(seed), skip)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 12),
+    k=st.integers(1, 5),
+    density=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+    acceptance=st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), min_size=5, max_size=5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stack_pass_equals_one_pass_per_snapshot(n, k, density, acceptance, seed):
+    # one pass over a (k, 2n, 2n) stack is k passes in turn on one generator
+    adj = np.random.default_rng(seed).random((k, 2 * n, 2 * n)) < density
+    adj[:, np.arange(2 * n), np.arange(2 * n)] = False
+    rng, one_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    stack = recommend_stack(adj, acceptance[:k], rng)
+    for s in range(k):
+        one = run_recommender(DirectedGraph.from_adjacency(adj[s], n), acceptance[s], one_rng)
+        # node i of snapshot s is s * 2n + i
+        for rows, expected in ((stack.recommended, one.recommended), (stack.accepted, one.accepted)):
+            mine = rows[rows[:, 0] // (2 * n) == s]
+            assert pairs(mine - [s * 2 * n, 0]) == pairs(expected)
+    assert rng.random() == one_rng.random()
+
+
+def test_stack_pass_needs_one_acceptance_per_snapshot():
+    adj = np.stack([example_graph().adj] * 2)
+    for acceptance in ((0.5,), (0.5, 0.5, 0.5), (0.5, 1.5), (float("nan"), 0.5)):
+        with pytest.raises(ValueError, match="acceptance"):
+            recommend_stack(adj, acceptance, np.random.default_rng(0))
