@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import integer, probability
 from .graph import DirectedGraph
 
 
@@ -23,9 +24,8 @@ class StrategyPair:
     p_b: float
 
     def __post_init__(self):
-        for name, p in (("p_r", self.p_r), ("p_b", self.p_b)):
-            if not 0.0 < p <= 1.0:
-                raise ValueError(f"{name} must be in (0, 1], got {p}")
+        probability("p_r", self.p_r, positive=True)
+        probability("p_b", self.p_b, positive=True)
 
 
 def block_matrix(s: StrategyPair, n: int) -> np.ndarray:
@@ -36,8 +36,7 @@ def block_matrix(s: StrategyPair, n: int) -> np.ndarray:
     its probability, so ``[0, 1]`` is (1 - p_b)/n, the chance that a blue
     user follows a given red user.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    integer("n", n, 1)
     return np.array([[s.p_r, (1.0 - s.p_b) / n], [(1.0 - s.p_r) / n, s.p_b]])
 
 

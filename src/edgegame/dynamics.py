@@ -18,6 +18,7 @@ import numpy as np
 
 from . import blockmodel
 from .blockmodel import StrategyPair, block_matrix
+from .checks import integer, probability, real
 from .game import PlayerRole, best_response, expected_utility_rec, nash_equilibrium
 from .graph import segregation_value
 from .recommender import recommend_stack
@@ -55,29 +56,24 @@ class SemiMarkovChain:
         holding_time: int,
         initial_state: int = 0,
     ):
-        self.states = tuple(float(c) for c in states)
-        if not self.states:
-            raise ValueError("chain needs at least one state")
-        for c in self.states:
-            if not 0.0 <= c <= 1.0:
-                raise ValueError(f"acceptance states must be in [0, 1], got {c}")
-        self.transition = np.asarray(transition, dtype=np.float64)
+        if np.ndim(states) != 1 or len(states) == 0:
+            raise ValueError(f"states must be a non-empty sequence of probabilities, got {states!r}")
+        self.states = tuple(float(probability("states", c)) for c in states)
+        self.transition = np.asarray(transition)
         k = len(self.states)
-        if self.transition.shape != (k, k):
-            raise ValueError(f"transition matrix must be {k}x{k}, got {self.transition.shape}")
-        if not np.all(np.isfinite(self.transition)):
-            raise ValueError("transition probabilities must be finite")
-        if np.any(self.transition < 0.0):
-            raise ValueError("transition probabilities must be non-negative")
+        if self.transition.shape != (k, k) or self.transition.dtype.kind not in "iuf":
+            raise ValueError(f"transition must be a {k}x{k} matrix of numbers, got {transition!r}")
+        self.transition = self.transition.astype(np.float64)
+        # NaN fails this test, and an infinity the row sums
+        if not np.all(self.transition >= 0.0):
+            raise ValueError("transition probabilities must be non-negative numbers")
         row_sums = self.transition.sum(axis=1)
         if np.any(np.abs(row_sums - 1.0) > 1e-12):
             raise ValueError(f"transition rows must sum to 1, got {row_sums}")
-        if holding_time < 1:
-            raise ValueError("holding_time must be >= 1")
-        self.holding_time = int(holding_time)
-        if not 0 <= initial_state < k:
-            raise ValueError(f"initial_state {initial_state} out of range")
-        self.initial_state = int(initial_state)
+        self.holding_time = integer("holding_time", holding_time, 1)
+        self.initial_state = integer("initial_state", initial_state, 0)
+        if initial_state >= k:
+            raise ValueError(f"initial_state must be < {k}, got {initial_state}")
         self._cum = np.cumsum(self.transition, axis=1)
 
 
@@ -87,8 +83,7 @@ def step_semi_markov(chain: SemiMarkovChain, state: int, t: int, rng: np.random.
     Exactly one uniform is consumed at each jump instant (even when the
     row is degenerate), none otherwise.
     """
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    integer("t", t, 0)
     if (t + 1) % chain.holding_time != 0:
         return state
     nxt = int(np.searchsorted(chain._cum[state], rng.random(), side="right"))
@@ -110,15 +105,11 @@ class ProtocolConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_per_community", "horizon"):
-            value = getattr(self, name)
-            if type(value) is not int:
-                raise ValueError(f"{name} must be an int, got {value!r}")
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1")
-        c = self.acceptance
-        if not (c is None or isinstance(c, SemiMarkovChain) or 0.0 <= c <= 1.0):
-            raise ValueError(f"acceptance must be in [0, 1], got {c}")
+        integer("n_per_community", self.n_per_community, 1)
+        integer("horizon", self.horizon, 1)
+        integer("seed", self.seed)
+        if not (self.acceptance is None or isinstance(self.acceptance, SemiMarkovChain)):
+            probability("acceptance", self.acceptance)
 
 
 @dataclass(frozen=True)
@@ -267,12 +258,10 @@ def verify_myopic_optimality(
     grid. The stage payoff is ``expected_utility_rec`` of the red player.
     Values start from the chain's initial state.
     """
-    if not 0.0 <= gamma < 1.0:
-        raise ValueError("gamma must be in [0, 1)")
-    if action_grid_size < 2:
-        raise ValueError("action_grid_size must be >= 2")
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+    if not 0.0 <= real("gamma", gamma) < 1.0:
+        raise ValueError(f"gamma must be in [0, 1), got {gamma}")
+    integer("action_grid_size", action_grid_size, 2)
+    integer("horizon", horizon, 1)
 
     actions = np.linspace(0.0, 1.0, action_grid_size)[1:]  # action set is (0, 1]
     k = len(chain.states)

@@ -20,9 +20,8 @@ import csv
 import json
 import math
 import os
-import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import IO, Callable, Iterator, NamedTuple
 
@@ -37,6 +36,7 @@ from .dynamics import (
     write_trace_csv,
 )
 from .blockmodel import StrategyPair, block_matrix, sample_snapshot
+from .checks import integer, probability
 from .game import iterated_dominance, nash_equilibrium
 from .opinion import OpinionConfig, run_opinion, tail_mean_segregation, write_opinion_csv
 from .recommender import run_recommender
@@ -265,31 +265,27 @@ def parse_config(text: str) -> list[ScenarioSpec]:
 
 
 def _checked(call: Callable, keys: dict[str, str], /, **fields):
-    """``call(**fields)``, where a ValueError naming a field is a configuration error.
+    """``call(**fields)``, where a ValueError about a field is a configuration error.
 
-    The ConfigError names the scenario key each named field came from;
-    ``keys`` maps fields to keys where the names differ. A ValueError that
-    names none of the fields is not a configuration error and propagates.
+    A ValueError is about the field its message starts with, as ``checks``
+    words it. The ConfigError names the scenario key of that field (``keys``
+    maps fields to keys where the names differ). Any other ValueError propagates.
     """
     try:
         return call(**fields)
     except ValueError as exc:
-        named = [f for f in fields if re.search(rf"\b{f}\b", str(exc))]
-        if not named:
+        named = str(exc).split(" ", 1)[0]
+        if named not in fields:
             raise
-        where = ", ".join(repr(keys.get(f, f)) for f in named)
-        raise ConfigError(f"bad value for {where}: {exc}") from None
+        raise ConfigError(f"bad value for {keys.get(named, named)!r}: {exc}") from None
 
 
-def _probability(key: str, c: float) -> float:
-    if not 0.0 <= c <= 1.0:
-        raise ConfigError(f"bad value for {key!r}: must be in [0, 1], got {c}")
-    return c
-
-
-def _at_least_one(key: str, values) -> None:
-    if min(values) < 1:
-        raise ConfigError(f"bad value for {key!r}: must be >= 1")
+def _key(check: Callable, key: str, *args):
+    """``check(key, *args)``, where a ValueError is a configuration error naming ``key``."""
+    try:
+        return check(key, *args)
+    except ValueError as exc:
+        raise ConfigError(f"bad value for {key!r}: {exc}") from None
 
 
 def _distinct(key: str, written) -> None:
@@ -322,7 +318,7 @@ def _protocol_config(
 ) -> ProtocolConfig:
     return _checked(
         ProtocolConfig,
-        {"n_per_community": "n"},
+        {"n_per_community": "n", "acceptance": "c"},
         n_per_community=params["n"],
         horizon=params["horizon"],
         acceptance=acceptance,
@@ -382,11 +378,7 @@ def _nash(params: dict, csv_path: Path, summary: RunSummary) -> Iterator[None]:
     },
 )
 def _protocol(params: dict, csv_path: Path, summary: RunSummary) -> Iterator[None]:
-    acceptance = (
-        _probability("c", params["c"]) if "c" in params
-        else build_chain(params) if "c_states" in params
-        else None
-    )
+    acceptance = params["c"] if "c" in params else build_chain(params) if "c_states" in params else None
     cfg = _protocol_config(params, acceptance, summary.seed)
     yield
     records = run_protocol(cfg)
@@ -416,10 +408,10 @@ def _protocol(params: dict, csv_path: Path, summary: RunSummary) -> Iterator[Non
     "seeds": ("int", 50),
 })
 def _sweep_c(params: dict, csv_path: Path, summary: RunSummary) -> Iterator[None]:
-    _at_least_one("seeds", [params["seeds"]])
-    _distinct("c_grid", [format_float(c) for c in params["c_grid"]])
+    _key(integer, "seeds", params["seeds"], 1)
     for c in params["c_grid"]:
-        _probability("c_grid", c)
+        _key(probability, "c_grid", c)
+    _distinct("c_grid", [format_float(c) for c in params["c_grid"]])
     _protocol_config(params, None, summary.seed)  # checks n and horizon
     yield
     rows = []
@@ -438,20 +430,15 @@ def _sweep_c(params: dict, csv_path: Path, summary: RunSummary) -> Iterator[None
     summary.extras = {"mean_tail_segregation": {format_float(c): v for c, v in tails.items()}}
 
 
+# OpinionConfig's fields, typed by their annotations; c is acceptance, seed the common key.
 @_declares(opinion={
-    "n_agents": ("int", 100),
-    "radius": ("float", 0.175),
-    "learning_rate": ("float", 0.05),
-    "exploration": ("float", 0.1),
-    "c": ("float", 0.9),
-    "with_recommender": ("bool", True),
-    "horizon": ("int", 20000),
-    "record_every": ("int", 100),
+    "c" if f.name == "acceptance" else f.name: (f.type, f.default)
+    for f in fields(OpinionConfig)
+    if f.name != "seed"
 })
 def _opinion(params: dict, csv_path: Path, summary: RunSummary) -> Iterator[None]:
-    # the kind's keys are OpinionConfig's fields, with c for acceptance
-    fields = {key: value for key, value in params.items() if key != "c"}
-    cfg = _checked(OpinionConfig, {"acceptance": "c"}, acceptance=params["c"], **fields)
+    config = {key: value for key, value in params.items() if key != "c"}
+    cfg = _checked(OpinionConfig, {"acceptance": "c"}, acceptance=params["c"], **config)
     yield
     records = run_opinion(cfg)
     with _create(csv_path) as fp:
@@ -471,13 +458,12 @@ def _opinion(params: dict, csv_path: Path, summary: RunSummary) -> Iterator[None
 })
 def _bench(params: dict, csv_path: Path, summary: RunSummary) -> Iterator[None]:
     seed = summary.seed
-    sizes = list(params["sizes"])
-    _at_least_one("sizes", sizes)
+    sizes = [_key(integer, "sizes", n, 1) for n in params["sizes"]]
     _distinct("sizes", sizes)
-    _at_least_one("repeats", [params["repeats"]])
+    _key(integer, "repeats", params["repeats"], 1)
     p = params["p"]
     pair = _checked(StrategyPair, {"p_r": "p", "p_b": "p"}, p_r=p, p_b=p)
-    c = _probability("c", params["c"])
+    c = _key(probability, "c", params["c"])
     yield
     graphs = {}
     outcomes = {}
@@ -544,7 +530,8 @@ def check_scenario(spec: ScenarioSpec, out_dir: str | Path = ".") -> Callable[[]
     names ``<name>.summary.json``.
     """
     check_scenario_name(spec.name)
-    summary = RunSummary(scenario=spec.name, kind=spec.kind, seed=spec.params.get("seed", 0))
+    seed = _key(integer, "seed", spec.params.get("seed", 0))
+    summary = RunSummary(scenario=spec.name, kind=spec.kind, seed=seed)
     csv_path = Path(out_dir) / f"{spec.name}.csv"
     runner = KINDS[spec.kind].run(spec.params, csv_path, summary)
     next(runner)

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blockmodel import StrategyPair
+from .checks import integer, probability
 from .graph import two_hop_support
 
 # Lower end of the action set (0, 1]. Best responses never reach it in
@@ -96,8 +97,7 @@ def expected_utility_rec(s: StrategyPair, acceptance: float, role: PlayerRole) -
     Quadratic in the strategies:
     own - other + c * (other * (2 - own - other) + own * (1 - own)).
     """
-    if not 0.0 <= acceptance <= 1.0:
-        raise ValueError(f"acceptance must be in [0, 1], got {acceptance}")
+    probability("acceptance", acceptance)
     own, other = (s.p_r, s.p_b) if role is PlayerRole.RED else (s.p_b, s.p_r)
     return own - other + acceptance * (other * (2.0 - own - other) + own * (1.0 - own))
 
@@ -119,10 +119,8 @@ def best_response(acceptance: float, opponent_p: float) -> float:
     quadratic's stationary point (1/c + 1 - opponent_p)/2 is clamped into
     the action set, which also covers c <= 1/2 where 1 is always optimal.
     """
-    if not 0.0 <= acceptance <= 1.0:
-        raise ValueError(f"acceptance must be in [0, 1], got {acceptance}")
-    if not 0.0 < opponent_p <= 1.0:
-        raise ValueError(f"opponent_p must be in (0, 1], got {opponent_p}")
+    probability("acceptance", acceptance)
+    probability("opponent_p", opponent_p, positive=True)
     if acceptance == 0.0:
         return 1.0
     # Written as a deviation from the equilibrium point so that the
@@ -134,8 +132,7 @@ def best_response(acceptance: float, opponent_p: float) -> float:
 
 def nash_equilibrium(acceptance: float) -> EquilibriumResult:
     """Unique equilibrium of the game at the given acceptance probability."""
-    if not 0.0 <= acceptance <= 1.0:
-        raise ValueError(f"acceptance must be in [0, 1], got {acceptance}")
+    probability("acceptance", acceptance)
     if acceptance <= 0.5:
         return EquilibriumResult(StrategyPair(1.0, 1.0), Regime.SEGREGATION)
     p = _integration_p(acceptance)
@@ -151,8 +148,7 @@ def iterated_dominance(acceptance: float, iterations: int) -> list[tuple[float, 
     """
     if not 0.5 < acceptance <= 1.0:
         raise ValueError("iterated dominance applies only for acceptance in (1/2, 1]")
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
+    integer("iterations", iterations, 1)
     inv = 1.0 / acceptance
     lo, hi = 0.5 * inv, 1.0
     out = [(lo, hi)]
@@ -167,13 +163,10 @@ def cross_partial(acceptance: float, s: StrategyPair, h: float) -> float:
 
     The expected utility is quadratic, so for any valid step this equals
     minus the acceptance probability up to rounding. All four stencil
-    points must stay inside (0, 1].
+    points must stay inside (0, 1]; ``StrategyPair`` rejects any other.
     """
     if h <= 0.0:
         raise ValueError("h must be positive")
-    for p in (s.p_r - h, s.p_r + h, s.p_b - h, s.p_b + h):
-        if not 0.0 < p <= 1.0:
-            raise ValueError("finite-difference stencil leaves the action set (0, 1]")
 
     def u(pr: float, pb: float) -> float:
         return expected_utility_rec(StrategyPair(pr, pb), acceptance, PlayerRole.RED)

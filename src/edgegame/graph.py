@@ -13,6 +13,8 @@ from typing import Iterable
 
 import numpy as np
 
+from .checks import integer
+
 
 def segregation_value(inter_edges: int, n_red: int, n_blue: int) -> float:
     """Segregation score from an inter-community edge count.
@@ -44,9 +46,7 @@ class DirectedGraph:
     __slots__ = ("n_per_community", "adj")
 
     def __init__(self, n_per_community: int, edges: Iterable[tuple[int, int]] = ()):
-        if n_per_community < 1:
-            raise ValueError("n_per_community must be >= 1")
-        self.n_per_community = int(n_per_community)
+        self.n_per_community = integer("n_per_community", n_per_community, 1)
         size = 2 * self.n_per_community
         self.adj = np.zeros((size, size), dtype=bool)
         self.add_edges(edges)

@@ -17,6 +17,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
+from .checks import integer, probability, real
 from .graph import segregation_value
 from .seeding import substream
 
@@ -42,20 +43,17 @@ class OpinionConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_agents < 2:
-            raise ValueError("n_agents must be >= 2")
-        if not 0.0 < self.radius:
-            raise ValueError("radius must be positive")
-        if not 0.0 <= self.exploration <= 1.0:
-            raise ValueError("exploration must be in [0, 1]")
-        if not 0.0 < self.learning_rate <= 1.0:
-            raise ValueError("learning_rate must be in (0, 1]")
-        if not 0.0 <= self.acceptance <= 1.0:
-            raise ValueError("acceptance must be in [0, 1]")
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
-        if self.record_every < 1:
-            raise ValueError("record_every must be >= 1")
+        integer("n_agents", self.n_agents, 2)
+        if not 0.0 < real("radius", self.radius):
+            raise ValueError(f"radius must be positive, got {self.radius}")
+        probability("learning_rate", self.learning_rate, positive=True)
+        probability("exploration", self.exploration)
+        probability("acceptance", self.acceptance)
+        if type(self.with_recommender) is not bool:
+            raise ValueError(f"with_recommender must be a bool, got {self.with_recommender!r}")
+        integer("horizon", self.horizon, 1)
+        integer("record_every", self.record_every, 1)
+        integer("seed", self.seed)
 
 
 def init_geometric_graph(
@@ -67,8 +65,7 @@ def init_geometric_graph(
     undirected edges as an (m, 2) array of (u, v) rows with u < v, in
     lexicographic order.
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
+    integer("n", n, 2)
     if not radius > 0.0:
         raise ValueError("radius must be positive")
     positions = rng.random((n, 2))

@@ -224,6 +224,31 @@ def test_run_scenario_rejects_a_name_that_is_not_a_file_stem(tmp_path, name):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "kind, key, value",
+    [
+        ("opinion", "record_every", 2.5),
+        ("protocol3", "holding_time", 2.5),
+        ("protocol2", "seed", 1.5),
+        ("protocol2", "c", True),
+        ("opinion", "n_agents", 5.5),
+        ("opinion", "horizon", 10.5),
+        ("sweep_c", "seeds", 2.5),
+        ("bench", "repeats", 1.5),
+        ("bench", "sizes", (4.5,)),
+        ("verify_myopic", "grid", 2.5),
+        ("verify_myopic", "seed", True),
+        ("nash", "c", "0.8"),
+    ],
+)
+def test_run_scenario_rejects_a_value_of_the_wrong_type(tmp_path, kind, key, value):
+    # a spec built without parse_config or the CLI holds values as given
+    params = {**make_spec("s", kind, {}).params, key: value}
+    with pytest.raises(ConfigError, match=f"^bad value for {key!r}"):
+        run_scenario(ScenarioSpec("s", kind, params), tmp_path / "out")
+    assert not list(tmp_path.iterdir())
+
+
 def test_protocol1_scenario(tmp_path):
     spec = ScenarioSpec(
         name="p1", kind="protocol1", params={"n": 10, "horizon": 10, "seed": 3}
