@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import IO, Sequence
+from typing import IO, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -112,9 +112,8 @@ class ProtocolConfig:
             probability("acceptance", self.acceptance)
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """Per-step snapshot of the run; counts are None when no recommender ran."""
+class TraceRecord(NamedTuple):
+    """One step's ``TRACE_COLUMNS`` row, in order; counts are None when no recommender ran."""
 
     t: int
     p_r: float
@@ -209,23 +208,20 @@ def format_float(x: float) -> str:
     return format(float(x), ".9g")
 
 
-def write_trace_csv(records: Sequence[TraceRecord], fp: IO[str]) -> None:
-    """Trace as CSV with fixed columns; missing fields become empty strings."""
+def write_rows(fp: IO[str], columns: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write the header ``columns``, then ``rows``, by the cell rule of every output CSV.
+
+    A float cell is written by ``format_float``, None as an empty cell and
+    anything else as it is; lines end in ``\\n``.
+    """
     writer = csv.writer(fp, lineterminator="\n")
-    writer.writerow(TRACE_COLUMNS)
-    for r in records:
-        writer.writerow(
-            [
-                r.t,
-                format_float(r.p_r),
-                format_float(r.p_b),
-                "" if r.acceptance_probability is None else format_float(r.acceptance_probability),
-                format_float(r.segregation),
-                r.inter_edges,
-                "" if r.recommended is None else r.recommended,
-                "" if r.accepted is None else r.accepted,
-            ]
-        )
+    writer.writerow(columns)
+    writer.writerows([format_float(x) if isinstance(x, float) else x for x in row] for row in rows)
+
+
+def write_trace_csv(records: Sequence[TraceRecord], fp: IO[str]) -> None:
+    """Trace as CSV with the ``TRACE_COLUMNS`` header, by ``write_rows``."""
+    write_rows(fp, TRACE_COLUMNS, records)
 
 
 # --- planning analysis ----------------------------------------------------

@@ -16,7 +16,6 @@ go only to ``<name>.timings.json``, which the bench kind writes.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
@@ -33,6 +32,7 @@ from .dynamics import (
     format_float,
     run_protocol,
     verify_myopic_optimality,
+    write_rows,
     write_trace_csv,
 )
 from .blockmodel import StrategyPair, block_matrix, sample_snapshot
@@ -47,9 +47,9 @@ class ConfigError(Exception):
     """Raised for any malformed scenario configuration."""
 
 
-def _round9(x: float | None) -> float | None:
+def _round9(x: float) -> float:
     """``x`` rounded to the 9 significant digits the CSVs carry, for summaries."""
-    return None if x is None else float(format_float(x))
+    return float(format_float(x))
 
 
 # --- schema ---------------------------------------------------------------
@@ -131,18 +131,10 @@ class RunSummary:
     files: list[str] = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "kind": self.kind,
-            "seed": self.seed,
-            "final_p_r": _round9(self.final_p_r),
-            "final_p_b": _round9(self.final_p_b),
-            "final_segregation": _round9(self.final_segregation),
-            "reference_p": _round9(self.reference_p),
-            "max_deviation": _round9(self.max_deviation),
-            "extras": self.extras,
-            "files": sorted(self.files),
-        }
+        """Every field but ``wall_time_s``, each float by ``_round9`` and ``files`` sorted."""
+        out = {k: _round9(v) if isinstance(v, float) else v for k, v in vars(self).items()}
+        del out["wall_time_s"]
+        return {**out, "files": sorted(self.files)}
 
 
 class ScenarioKind(NamedTuple):
@@ -288,6 +280,13 @@ def _key(check: Callable, key: str, *args):
         raise ConfigError(f"bad value for {key!r}: {exc}") from None
 
 
+def _listed(key: str, values) -> tuple:
+    """``values`` as a tuple if it is a non-empty list or tuple, else a ConfigError naming ``key``."""
+    if not (isinstance(values, (list, tuple)) and values):
+        raise ConfigError(f"bad value for {key!r}: must be a non-empty list, got {values!r}")
+    return tuple(values)
+
+
 def _distinct(key: str, written) -> None:
     # results are keyed by these values as written, so a repeat would overwrite one
     if len(set(written)) < len(written):
@@ -299,7 +298,7 @@ def _uniform_matrix(k: int) -> tuple[tuple[float, ...], ...]:
 
 
 def build_chain(params: dict) -> SemiMarkovChain:
-    states = params["c_states"]
+    states = _listed("c_states", params["c_states"])
     transition = params["transition"]
     if transition is None:
         transition = _uniform_matrix(len(states))
@@ -332,11 +331,9 @@ def _create(path: Path) -> IO[str]:
     return path.open("w", encoding="utf-8", newline="")
 
 
-def _write_rows(path: Path, header: tuple[str, ...], rows: list[list]) -> None:
+def _write_rows(path: Path, columns: tuple[str, ...], rows: list) -> None:
     with _create(path) as fp:
-        writer = csv.writer(fp, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        write_rows(fp, columns, rows)
 
 
 # Runners call edgegame's functions through this module's globals at call
@@ -354,12 +351,8 @@ def _nash(params: dict, csv_path: Path, summary: RunSummary) -> Iterator[None]:
     summary.reference_p = result.strategy.p_r
     summary.max_deviation = 0.0
     summary.extras = {"regime": result.regime.value, "c": c}
-    rows: list[list] = []
-    if result.regime.value == "integration":
-        for it, (lo, hi) in enumerate(iterated_dominance(c, 60), start=1):
-            rows.append([it, format_float(lo), format_float(hi)])
-    else:
-        rows.append([1, format_float(1.0), format_float(1.0)])
+    intervals = iterated_dominance(c, 60) if result.regime.value == "integration" else [(1.0, 1.0)]
+    rows = [(it, lo, hi) for it, (lo, hi) in enumerate(intervals, start=1)]
     _write_rows(csv_path, ("iteration", "b_low", "b_high"), rows)
 
 
@@ -409,14 +402,13 @@ def _protocol(params: dict, csv_path: Path, summary: RunSummary) -> Iterator[Non
 })
 def _sweep_c(params: dict, csv_path: Path, summary: RunSummary) -> Iterator[None]:
     _key(integer, "seeds", params["seeds"], 1)
-    for c in params["c_grid"]:
-        _key(probability, "c_grid", c)
-    _distinct("c_grid", [format_float(c) for c in params["c_grid"]])
+    c_grid = [_key(probability, "c_grid", c) for c in _listed("c_grid", params["c_grid"])]
+    _distinct("c_grid", [format_float(c) for c in c_grid])
     _protocol_config(params, None, summary.seed)  # checks n and horizon
     yield
     rows = []
     tails = {}
-    for c_idx, c in enumerate(params["c_grid"]):
+    for c_idx, c in enumerate(c_grid):
         per_seed = []
         for rep in range(params["seeds"]):
             seed = child_seed(summary.seed, "sweep", c_idx, rep)
@@ -424,8 +416,7 @@ def _sweep_c(params: dict, csv_path: Path, summary: RunSummary) -> Iterator[None
             tail = [r.segregation for r in records if r.t > records[-1].t // 2]
             per_seed.append(float(np.mean(tail)))
         tails[c] = float(np.mean(per_seed))
-        ref = nash_equilibrium(c).strategy.p_r
-        rows.append([format_float(c), format_float(tails[c]), format_float(ref)])
+        rows.append((c, tails[c], nash_equilibrium(c).strategy.p_r))
     _write_rows(csv_path, ("c", "mean_tail_segregation", "nash_p"), rows)
     summary.extras = {"mean_tail_segregation": {format_float(c): v for c, v in tails.items()}}
 
@@ -458,7 +449,7 @@ def _opinion(params: dict, csv_path: Path, summary: RunSummary) -> Iterator[None
 })
 def _bench(params: dict, csv_path: Path, summary: RunSummary) -> Iterator[None]:
     seed = summary.seed
-    sizes = [_key(integer, "sizes", n, 1) for n in params["sizes"]]
+    sizes = [_key(integer, "sizes", n, 1) for n in _listed("sizes", params["sizes"])]
     _distinct("sizes", sizes)
     _key(integer, "repeats", params["repeats"], 1)
     p = params["p"]
@@ -510,10 +501,7 @@ def _verify_myopic(params: dict, csv_path: Path, summary: RunSummary) -> Iterato
         horizon=params["horizon"],
     )
     yield
-    rows = [
-        [idx, format_float(c), format_float(a)]
-        for idx, (c, a) in enumerate(zip(chain.states, report.myopic_actions))
-    ]
+    rows = [(idx, c, a) for idx, (c, a) in enumerate(zip(chain.states, report.myopic_actions))]
     _write_rows(csv_path, ("state", "c", "myopic_action"), rows)
     summary.extras = {
         "myopic_value": _round9(report.myopic_value),

@@ -146,7 +146,7 @@ def iterated_dominance(acceptance: float, iterations: int) -> list[tuple[float, 
     the best-response line, halving the width, so both endpoints converge
     to the equilibrium value.
     """
-    if not 0.5 < acceptance <= 1.0:
+    if not 0.5 < probability("acceptance", acceptance) <= 1.0:
         raise ValueError("iterated dominance applies only for acceptance in (1/2, 1]")
     integer("iterations", iterations, 1)
     inv = 1.0 / acceptance

@@ -11,13 +11,13 @@ fixed contact graph at a lower level.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from typing import IO, Sequence
+from typing import IO, NamedTuple, Sequence
 
 import numpy as np
 
 from .checks import integer, probability, real
+from .dynamics import write_rows
 from .graph import segregation_value
 from .seeding import substream
 
@@ -152,8 +152,9 @@ def step_opinion(state: OpinionState, cfg: OpinionConfig, rng: np.random.Generat
         state.q_minus[i] = (1.0 - alpha) * state.q_minus[i] + alpha * reward
 
 
-@dataclass(frozen=True)
-class OpinionRecord:
+class OpinionRecord(NamedTuple):
+    """One ``OPINION_CSV_COLUMNS`` row, in order."""
+
     step: int
     segregation: float
     n_plus: int
@@ -292,15 +293,5 @@ def tail_mean_segregation(records: Sequence[OpinionRecord]) -> float:
 
 
 def write_opinion_csv(records: Sequence[OpinionRecord], fp: IO[str]) -> None:
-    writer = csv.writer(fp, lineterminator="\n")
-    writer.writerow(OPINION_CSV_COLUMNS)
-    for r in records:
-        writer.writerow(
-            [
-                r.step,
-                format(r.segregation, ".9g"),
-                r.n_plus,
-                r.n_minus,
-                format(r.mean_q_gap, ".9g"),
-            ]
-        )
+    """Records as CSV with the ``OPINION_CSV_COLUMNS`` header, by ``write_rows``."""
+    write_rows(fp, OPINION_CSV_COLUMNS, records)

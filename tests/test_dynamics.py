@@ -351,6 +351,14 @@ def test_trace_csv_format():
     assert lines[2].startswith("1,1,")
     fields = lines[2].split(",")
     assert fields[3] == "" and fields[6] == "" and fields[7] == ""
+    # an int acceptance is written as it is, and None counts as empty cells
+    records = [
+        TraceRecord(1, 0.75, 1 / 3, 1, 0.5, 7, 4, 2),
+        TraceRecord(2, 1.0, 1.0, None, 1.0, 0, None, None),
+    ]
+    buf = io.StringIO()
+    write_trace_csv(records, buf)
+    assert buf.getvalue().splitlines()[1:] == ["1,0.75,0.333333333,1,0.5,7,4,2", "2,1,1,,1,0,,"]
 
 
 def test_format_float_nine_significant_digits():

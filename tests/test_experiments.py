@@ -239,6 +239,11 @@ def test_run_scenario_rejects_a_name_that_is_not_a_file_stem(tmp_path, name):
         ("verify_myopic", "grid", 2.5),
         ("verify_myopic", "seed", True),
         ("nash", "c", "0.8"),
+        ("bench", "sizes", ()),
+        ("sweep_c", "c_grid", ()),
+        ("bench", "sizes", 4),
+        ("sweep_c", "c_grid", 0.6),
+        ("protocol3", "c_states", 0.6),
     ],
 )
 def test_run_scenario_rejects_a_value_of_the_wrong_type(tmp_path, kind, key, value):

@@ -320,6 +320,8 @@ def test_iterated_dominance_domain_error():
         iterated_dominance(0.5, 10)
     with pytest.raises(ValueError):
         iterated_dominance(0.8, 0)
+    with pytest.raises(ValueError, match="^acceptance"):
+        iterated_dominance(True, 3)
 
 
 def test_cross_partial_examples():
