@@ -19,7 +19,6 @@ import numpy as np
 
 from .blockmodel import StrategyPair
 from .checks import integer, probability
-from .graph import two_hop_support
 
 # Lower end of the action set (0, 1]. Best responses never reach it in
 # either regime; it only keeps the clamp inside the open interval.
@@ -57,27 +56,40 @@ def realized_utility_rec_all(adj: np.ndarray, n: int, acceptance: float) -> np.n
     are evaluated exactly on the snapshot, without clamping the ratios;
     with acceptance 0 only the base utility remains.
 
-    ``adj`` is the boolean 2n x 2n adjacency. Each term is summed per
-    community block; the proposal ratios read ``graph.two_hop_support``,
-    the support the recommender pass draws from, and every partial sum is
-    an exact integer.
+    ``adj`` is the boolean 2n x 2n adjacency. The kernel works from its E
+    cross edges (u, v), friend u to follower v, and each node's in-group
+    follower count. The expected links of i sum the in-group follower
+    counts of i's cross contacts, less the support at i's existing cross
+    edges (the count ``graph.two_hop_support`` gives the recommender
+    pass); the bridging term takes off, per cross friend, the in-group
+    followers of i that already follow it. The work is O(n^2 + E n), and
+    sampled snapshots have E = O(n). Every partial sum is an exact
+    integer, so no summation order can change a bit of the result.
     """
     if adj.shape != (2 * n, 2 * n):
         raise ValueError(f"adj must be {2 * n}x{2 * n} for n={n}, got shape {adj.shape}")
-    red, blue = slice(0, n), slice(n, 2 * n)
-    support = two_hop_support(adj, n)
-    base, expected_links, bridging = np.empty((3, 2 * n))
-    for own, other in ((red, blue), (blue, red)):
-        followers, in_group = adj[own, other], adj[own, own]
-        friends = adj[other, own].astype(np.float64)
-        in_friends = friends.sum(axis=0)
-        base[own] = followers.sum(axis=1) - in_friends
-        expected_links[own] = (support[own, other] * ~followers).sum(axis=1)
-        # shared[i, i']: cross friends that i and i' have in common
-        shared = friends.T @ friends
-        bridging[own] = in_friends * in_group.sum(axis=1) - (in_group * shared).sum(axis=1)
+    if adj.dtype != bool:
+        raise ValueError(f"adj must be a bool array, got dtype {adj.dtype}")
+    size = 2 * n
+    cross = adj.copy()
+    cross[:n, :n] = cross[n:, n:] = False
+    u, v = cross.nonzero()  # friend u -> follower v
+    cross_followers = np.bincount(u, minlength=size)
+    cross_friends = np.bincount(v, minlength=size)
+    in_followers = adj.sum(axis=1) - cross_followers
+    base = (cross_followers - cross_friends).astype(np.float64)
     if n == 1:
         return base
+    # the support at (u, v): in-group friends of v linked with u either way
+    support = ((cross[u].view(np.uint8) + cross[:, u].T) * adj[:, v].T).sum(axis=1)
+    expected_links = (
+        np.bincount(u, in_followers[v], size)
+        + np.bincount(v, in_followers[u], size)
+        - np.bincount(u, support, size)
+    )
+    # in-group followers of v that already follow v's cross friend u
+    following = (adj[v] & cross[u]).sum(axis=1)
+    bridging = cross_friends * in_followers - np.bincount(v, following, size)
     return base + acceptance / (n - 1) * (expected_links + bridging)
 
 

@@ -95,7 +95,7 @@ def run_recommender(
 def recommend_stack(
     adj: np.ndarray, acceptance: Sequence[float], rng: np.random.Generator
 ) -> RecommendationOutcome:
-    """The passes over a (k, 2n, 2n) stack of snapshots, in turn, as one sequence.
+    """The passes over a boolean (k, 2n, 2n) stack of snapshots, in turn, as one sequence.
 
     ``acceptance`` holds one probability in [0, 1] per snapshot. Snapshot
     s's pass is ``run_recommender`` on ``adj[s]`` with ``acceptance[s]``:
@@ -107,6 +107,8 @@ def recommend_stack(
     """
     if len(acceptance) != len(adj) or not all(0.0 <= c <= 1.0 for c in acceptance):
         raise ValueError(f"acceptance must be one probability in [0, 1] per snapshot, got {acceptance}")
+    if adj.dtype != bool:
+        raise ValueError(f"adj must be a bool array, got dtype {adj.dtype}")
     size = adj.shape[-1]
     n = size // 2
     support = two_hop_support(adj, n)

@@ -161,16 +161,31 @@ def test_vectorized_matches_per_node():
             assert vec[i] == pytest.approx(expected, abs=1e-9)
 
 
-@settings(derandomize=True, max_examples=200, deadline=None)
-@given(
-    n=st.integers(1, 12),
-    density=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
-    seed=st.integers(0, 2**32 - 1),
-    acceptance=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
-)
-def test_kernel_is_bit_identical_to_dense_reference(n, density, seed, acceptance):
+def uniform_snapshot(n, density, seed):
     adj = np.random.default_rng(seed).random((2 * n, 2 * n)) < density
     np.fill_diagonal(adj, False)
+    return adj, n
+
+
+def block_model_snapshot(n, p_r, p_b, seed):
+    # dense in-group blocks and O(n) cross edges, as the Monte-Carlo checks sample
+    return sample_adjacency(block_matrix(StrategyPair(p_r, p_b), n), n, np.random.default_rng(seed)), n
+
+
+seeds = st.integers(0, 2**32 - 1)
+actions = st.sampled_from([1.0]) | st.floats(0.0, 1.0, exclude_min=True)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    snapshot=st.builds(
+        uniform_snapshot, st.integers(1, 12), st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), seeds
+    )
+    | st.builds(block_model_snapshot, st.integers(1, 60), actions, actions, seeds),
+    acceptance=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+)
+def test_kernel_is_bit_identical_to_dense_reference(snapshot, acceptance):
+    adj, n = snapshot
     got = realized_utility_rec_all(adj, n, acceptance)
     want = reference_realized_utility_rec_all(adj, n, acceptance)
     assert got.dtype == want.dtype
@@ -181,6 +196,14 @@ def test_kernel_rejects_wrong_shape():
     for shape in ((6, 6), (8, 6), (8,), (8, 8, 1)):
         with pytest.raises(ValueError, match="adj must be 8x8"):
             realized_utility_rec_all(np.zeros(shape, dtype=bool), 4, 0.5)
+
+
+def test_kernel_rejects_a_non_bool_adjacency():
+    # the kernel reads adj as masks, so another dtype is refused, not reinterpreted
+    adj, n = block_model_snapshot(6, 0.5, 0.25, 4)
+    for dtype in (np.int64, np.uint8, np.float64):
+        with pytest.raises(ValueError, match="adj must be a bool array"):
+            realized_utility_rec_all(adj.astype(dtype), n, 0.8)
 
 
 # --- expected utilities ------------------------------------------------------

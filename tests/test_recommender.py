@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgegame.blockmodel import StrategyPair, block_matrix, sample_snapshot
+from edgegame.blockmodel import StrategyPair, block_matrix, sample_adjacency, sample_snapshot
 from edgegame.graph import DirectedGraph, two_hop_support
 from edgegame.recommender import (
     RecommendationOutcome,
@@ -366,3 +366,15 @@ def test_stack_pass_needs_one_acceptance_per_snapshot():
     for acceptance in ((0.5,), (0.5, 0.5, 0.5), (0.5, 1.5), (float("nan"), 0.5)):
         with pytest.raises(ValueError, match="acceptance"):
             recommend_stack(adj, acceptance, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_stack_pass_rejects_a_non_bool_adjacency(k):
+    # indexing by an int 0/1 array picks rows by value, not cells by mask
+    tables = np.stack([block_matrix(StrategyPair(0.75, 0.5), 10)] * k)
+    adj = sample_adjacency(tables, 10, np.random.default_rng(3))
+    rng = np.random.default_rng(0)
+    for dtype in (np.int64, np.uint8):
+        with pytest.raises(ValueError, match="adj must be a bool array"):
+            recommend_stack(adj.astype(dtype), (0.8,) * k, rng)
+    assert rng.random() == np.random.default_rng(0).random()
