@@ -38,6 +38,14 @@ TRACE_COLUMNS = ("t", "p_r", "p_b", "c", "segregation", "inter_edges", "recommen
 STACK_CELLS = 2**13
 
 
+def _shape(value) -> tuple[int, ...] | None:
+    """``value``'s shape as an array, or None if its rows differ in length."""
+    try:
+        return np.shape(value)
+    except ValueError:  # numpy's words for a ragged value, which name no field
+        return None
+
+
 class SemiMarkovChain:
     """Finite-state acceptance process that can jump only every T_h steps.
 
@@ -56,14 +64,14 @@ class SemiMarkovChain:
         holding_time: int,
         initial_state: int = 0,
     ):
-        if np.ndim(states) != 1 or len(states) == 0:
+        shape = _shape(states)
+        if shape is None or len(shape) != 1 or shape[0] == 0:
             raise ValueError(f"states must be a non-empty sequence of probabilities, got {states!r}")
         self.states = tuple(float(probability("states", c)) for c in states)
-        self.transition = np.asarray(transition)
         k = len(self.states)
-        if self.transition.shape != (k, k) or self.transition.dtype.kind not in "iuf":
+        if _shape(transition) != (k, k) or np.asarray(transition).dtype.kind not in "iuf":
             raise ValueError(f"transition must be a {k}x{k} matrix of numbers, got {transition!r}")
-        self.transition = self.transition.astype(np.float64)
+        self.transition = np.array(transition, dtype=np.float64)
         # NaN fails this test, and an infinity the row sums
         if not np.all(self.transition >= 0.0):
             raise ValueError("transition probabilities must be non-negative numbers")

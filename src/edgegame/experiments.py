@@ -6,6 +6,9 @@ and bad values are hard errors that name the offending line, and keys left
 out take their defaults. Each scenario kind is declared once, by the
 ``_declares`` decorator on its runner, which names the kind's keys; the
 parser, the CLI and ``run_scenario`` all read that table, ``KINDS``.
+Runners call the library's constructors and checks directly; while a
+scenario is checked, ``check_scenario`` turns a ValueError about a field
+into a ConfigError naming its key, by the one table ``_KEY_OF_FIELD``.
 ``make_spec`` is the only way a spec is built from text: ``parse_config``
 and the CLI both return what it builds. Each scenario writes a data CSV
 plus a JSON summary into the output directory, every file through
@@ -255,29 +258,21 @@ def parse_config(text: str) -> list[ScenarioSpec]:
 
 # --- execution --------------------------------------------------------------
 
-
-def _checked(call: Callable, keys: dict[str, str], /, **fields):
-    """``call(**fields)``, where a ValueError about a field is a configuration error.
-
-    A ValueError is about the field its message starts with, as ``checks``
-    words it. The ConfigError names the scenario key of that field (``keys``
-    maps fields to keys where the names differ). Any other ValueError propagates.
-    """
-    try:
-        return call(**fields)
-    except ValueError as exc:
-        named = str(exc).split(" ", 1)[0]
-        if named not in fields:
-            raise
-        raise ConfigError(f"bad value for {keys.get(named, named)!r}: {exc}") from None
+# Library fields whose scenario key is spelled differently. A ValueError is
+# about the field its message starts with, as ``checks`` words it, and
+# ``check_scenario`` reports it as a ConfigError naming that field's key.
+_KEY_OF_FIELD = {
+    "n_per_community": "n",
+    "acceptance": "c",
+    "states": "c_states",
+    "action_grid_size": "grid",
+    "p_r": "p",
+    "p_b": "p",
+}
 
 
-def _key(check: Callable, key: str, *args):
-    """``check(key, *args)``, where a ValueError is a configuration error naming ``key``."""
-    try:
-        return check(key, *args)
-    except ValueError as exc:
-        raise ConfigError(f"bad value for {key!r}: {exc}") from None
+def _key_of(field_name: str) -> str:
+    return _KEY_OF_FIELD.get(field_name, field_name)
 
 
 def _listed(key: str, values) -> tuple:
@@ -302,27 +297,7 @@ def build_chain(params: dict) -> SemiMarkovChain:
     transition = params["transition"]
     if transition is None:
         transition = _uniform_matrix(len(states))
-    return _checked(
-        SemiMarkovChain,
-        {"states": "c_states"},
-        states=states,
-        transition=transition,
-        holding_time=params["holding_time"],
-        initial_state=params["initial_state"],
-    )
-
-
-def _protocol_config(
-    params: dict, acceptance: float | SemiMarkovChain | None, seed: int
-) -> ProtocolConfig:
-    return _checked(
-        ProtocolConfig,
-        {"n_per_community": "n", "acceptance": "c"},
-        n_per_community=params["n"],
-        horizon=params["horizon"],
-        acceptance=acceptance,
-        seed=seed,
-    )
+    return SemiMarkovChain(states, transition, params["holding_time"], params["initial_state"])
 
 
 def _create(path: Path) -> IO[str]:
@@ -344,7 +319,7 @@ def _write_rows(path: Path, columns: tuple[str, ...], rows: list) -> None:
 @_declares(nash={"c": ("float", 0.8)})
 def _nash(params: dict, csv_path: Path, summary: RunSummary) -> Iterator[None]:
     c = params["c"]
-    result = _checked(nash_equilibrium, {"acceptance": "c"}, acceptance=c)
+    result = nash_equilibrium(c)
     yield
     summary.final_p_r = result.strategy.p_r
     summary.final_p_b = result.strategy.p_b
@@ -372,7 +347,9 @@ def _nash(params: dict, csv_path: Path, summary: RunSummary) -> Iterator[None]:
 )
 def _protocol(params: dict, csv_path: Path, summary: RunSummary) -> Iterator[None]:
     acceptance = params["c"] if "c" in params else build_chain(params) if "c_states" in params else None
-    cfg = _protocol_config(params, acceptance, summary.seed)
+    cfg = ProtocolConfig(params["n"], params["horizon"], acceptance, summary.seed)
+    if "c" in params:
+        probability("c", cfg.acceptance)  # ProtocolConfig takes None: it runs protocol1
     yield
     records = run_protocol(cfg)
     with _create(csv_path) as fp:
@@ -401,10 +378,10 @@ def _protocol(params: dict, csv_path: Path, summary: RunSummary) -> Iterator[Non
     "seeds": ("int", 50),
 })
 def _sweep_c(params: dict, csv_path: Path, summary: RunSummary) -> Iterator[None]:
-    _key(integer, "seeds", params["seeds"], 1)
-    c_grid = [_key(probability, "c_grid", c) for c in _listed("c_grid", params["c_grid"])]
+    integer("seeds", params["seeds"], 1)
+    c_grid = [probability("c_grid", c) for c in _listed("c_grid", params["c_grid"])]
     _distinct("c_grid", [format_float(c) for c in c_grid])
-    _protocol_config(params, None, summary.seed)  # checks n and horizon
+    ProtocolConfig(params["n"], params["horizon"], None, summary.seed)  # checks n and horizon
     yield
     rows = []
     tails = {}
@@ -412,7 +389,7 @@ def _sweep_c(params: dict, csv_path: Path, summary: RunSummary) -> Iterator[None
         per_seed = []
         for rep in range(params["seeds"]):
             seed = child_seed(summary.seed, "sweep", c_idx, rep)
-            records = run_protocol(_protocol_config(params, c, seed))
+            records = run_protocol(ProtocolConfig(params["n"], params["horizon"], c, seed))
             tail = [r.segregation for r in records if r.t > records[-1].t // 2]
             per_seed.append(float(np.mean(tail)))
         tails[c] = float(np.mean(per_seed))
@@ -421,15 +398,14 @@ def _sweep_c(params: dict, csv_path: Path, summary: RunSummary) -> Iterator[None
     summary.extras = {"mean_tail_segregation": {format_float(c): v for c, v in tails.items()}}
 
 
-# OpinionConfig's fields, typed by their annotations; c is acceptance, seed the common key.
-@_declares(opinion={
-    "c" if f.name == "acceptance" else f.name: (f.type, f.default)
-    for f in fields(OpinionConfig)
-    if f.name != "seed"
-})
+# OpinionConfig's fields under their keys, typed by their annotations; seed is the common key.
+_OPINION_FIELDS = [f for f in fields(OpinionConfig) if f.name != "seed"]
+
+
+@_declares(opinion={_key_of(f.name): (f.type, f.default) for f in _OPINION_FIELDS})
 def _opinion(params: dict, csv_path: Path, summary: RunSummary) -> Iterator[None]:
-    config = {key: value for key, value in params.items() if key != "c"}
-    cfg = _checked(OpinionConfig, {"acceptance": "c"}, acceptance=params["c"], **config)
+    config = {f.name: params[_key_of(f.name)] for f in _OPINION_FIELDS}
+    cfg = OpinionConfig(**config, seed=summary.seed)
     yield
     records = run_opinion(cfg)
     with _create(csv_path) as fp:
@@ -449,12 +425,12 @@ def _opinion(params: dict, csv_path: Path, summary: RunSummary) -> Iterator[None
 })
 def _bench(params: dict, csv_path: Path, summary: RunSummary) -> Iterator[None]:
     seed = summary.seed
-    sizes = [_key(integer, "sizes", n, 1) for n in _listed("sizes", params["sizes"])]
+    sizes = [integer("sizes", n, 1) for n in _listed("sizes", params["sizes"])]
     _distinct("sizes", sizes)
-    _key(integer, "repeats", params["repeats"], 1)
+    integer("repeats", params["repeats"], 1)
     p = params["p"]
-    pair = _checked(StrategyPair, {"p_r": "p", "p_b": "p"}, p_r=p, p_b=p)
-    c = _key(probability, "c", params["c"])
+    pair = StrategyPair(p, p)
+    c = probability("c", params["c"])
     yield
     graphs = {}
     outcomes = {}
@@ -492,14 +468,7 @@ def _bench(params: dict, csv_path: Path, summary: RunSummary) -> Iterator[None]:
 })
 def _verify_myopic(params: dict, csv_path: Path, summary: RunSummary) -> Iterator[None]:
     chain = build_chain(params)
-    report = _checked(
-        verify_myopic_optimality,
-        {"action_grid_size": "grid"},
-        chain=chain,
-        gamma=params["gamma"],
-        action_grid_size=params["grid"],
-        horizon=params["horizon"],
-    )
+    report = verify_myopic_optimality(chain, params["gamma"], params["grid"], params["horizon"])
     yield
     rows = [(idx, c, a) for idx, (c, a) in enumerate(zip(chain.states, report.myopic_actions))]
     _write_rows(csv_path, ("state", "c", "myopic_action"), rows)
@@ -518,11 +487,17 @@ def check_scenario(spec: ScenarioSpec, out_dir: str | Path = ".") -> Callable[[]
     names ``<name>.summary.json``.
     """
     check_scenario_name(spec.name)
-    seed = _key(integer, "seed", spec.params.get("seed", 0))
-    summary = RunSummary(scenario=spec.name, kind=spec.kind, seed=seed)
     csv_path = Path(out_dir) / f"{spec.name}.csv"
-    runner = KINDS[spec.kind].run(spec.params, csv_path, summary)
-    next(runner)
+    try:
+        seed = integer("seed", spec.params.get("seed", 0))
+        summary = RunSummary(scenario=spec.name, kind=spec.kind, seed=seed)
+        runner = KINDS[spec.kind].run(spec.params, csv_path, summary)
+        next(runner)
+    except ValueError as exc:
+        key = _key_of(str(exc).split(" ", 1)[0])
+        if key not in spec.params:
+            raise
+        raise ConfigError(f"bad value for {key!r}: {exc}") from None
 
     def run() -> RunSummary:
         t0 = time.perf_counter()

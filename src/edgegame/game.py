@@ -70,6 +70,7 @@ def realized_utility_rec_all(adj: np.ndarray, n: int, acceptance: float) -> np.n
         raise ValueError(f"adj must be {2 * n}x{2 * n} for n={n}, got shape {adj.shape}")
     if adj.dtype != bool:
         raise ValueError(f"adj must be a bool array, got dtype {adj.dtype}")
+    probability("acceptance", acceptance)
     size = 2 * n
     cross = adj.copy()
     cross[:n, :n] = cross[n:, n:] = False

@@ -244,6 +244,10 @@ def test_run_scenario_rejects_a_name_that_is_not_a_file_stem(tmp_path, name):
         ("bench", "sizes", 4),
         ("sweep_c", "c_grid", 0.6),
         ("protocol3", "c_states", 0.6),
+        # None is protocol1's acceptance, not a value of protocol2's c
+        ("protocol2", "c", None),
+        ("protocol3", "transition", ((0.5, 0.5), (1.0,))),
+        ("protocol3", "c_states", ((0.5, 0.5), (1.0,))),
     ],
 )
 def test_run_scenario_rejects_a_value_of_the_wrong_type(tmp_path, kind, key, value):
@@ -252,6 +256,27 @@ def test_run_scenario_rejects_a_value_of_the_wrong_type(tmp_path, kind, key, val
     with pytest.raises(ConfigError, match=f"^bad value for {key!r}"):
         run_scenario(ScenarioSpec("s", kind, params), tmp_path / "out")
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "kind, key", [(kind, key) for kind in KINDS for key in ("seed", *KINDS[kind].schema)]
+)
+def test_run_scenario_names_the_key_of_every_bad_value(tmp_path, kind, key):
+    # every field a runner checks maps to a key of its kind
+    params = {**make_spec("s", kind, {}).params, key: "x"}
+    with pytest.raises(ConfigError, match=f"^bad value for {key!r}"):
+        run_scenario(ScenarioSpec("s", kind, params), tmp_path / "out")
+    assert not list(tmp_path.iterdir())
+
+
+def test_a_value_error_about_no_key_is_a_runtime_error(tmp_path, monkeypatch):
+    def boom(acceptance):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(experiments, "nash_equilibrium", boom)
+    with pytest.raises(ValueError, match="^boom$"):
+        run_scenario(ScenarioSpec("s", "nash", {"c": 0.8, "seed": 0}), tmp_path)
+    assert main(["nash", "--out-dir", str(tmp_path)]) == 1
 
 
 def test_protocol1_scenario(tmp_path):

@@ -198,6 +198,13 @@ def test_kernel_rejects_wrong_shape():
             realized_utility_rec_all(np.zeros(shape, dtype=bool), 4, 0.5)
 
 
+@pytest.mark.parametrize("acceptance", [math.nan, 1.5, True, "0.5"])
+def test_kernel_rejects_a_bad_acceptance(acceptance):
+    adj, n = block_model_snapshot(4, 0.5, 0.25, 4)
+    with pytest.raises(ValueError, match="^acceptance"):
+        realized_utility_rec_all(adj, n, acceptance)
+
+
 def test_kernel_rejects_a_non_bool_adjacency():
     # the kernel reads adj as masks, so another dtype is refused, not reinterpreted
     adj, n = block_model_snapshot(6, 0.5, 0.25, 4)
