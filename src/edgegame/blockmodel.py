@@ -57,8 +57,7 @@ def sample_adjacency(table: np.ndarray, n: int, rng: np.random.Generator) -> np.
     previous one's, so the stack equals k calls with one table each, and
     the generator ends where those calls would leave it.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    integer("n", n, 1)
     lead = table.shape[:-2]
     adj = rng.random(lead + (2, n, 2, n)) < table[..., :, None, :, None]
     adj.reshape(lead + (4 * n * n,))[..., :: 2 * n + 1] = False  # the diagonal

@@ -4,8 +4,9 @@ Three protocol variants share one loop: players alternate best responses
 (red on odd steps, blue on even steps), a fresh graph snapshot is sampled
 from the current strategies each step, and optionally a recommender pass
 adds accepted cross links before metrics are recorded. The acceptance
-probability is absent (P1), fixed (P2), or follows a finite-state chain
-that may only jump every ``holding_time`` steps (P3).
+probability is absent (P1: the players play the game at c = 0 and no pass
+runs), fixed (P2), or follows a finite-state chain that may only jump
+every ``holding_time`` steps (P3).
 """
 
 from __future__ import annotations
@@ -102,9 +103,9 @@ def step_semi_markov(chain: SemiMarkovChain, state: int, t: int, rng: np.random.
 class ProtocolConfig:
     """One simulation run: sizes, acceptance probability and seed.
 
-    ``acceptance`` picks the protocol: None runs P1 (no recommender), a
-    probability c in [0, 1] runs P2 (fixed acceptance), and a
-    ``SemiMarkovChain`` runs P3 (switching acceptance).
+    ``acceptance`` picks the protocol: None runs P1 (no recommender, so
+    the game at c = 0), a probability c in [0, 1] runs P2 (fixed
+    acceptance), and a ``SemiMarkovChain`` runs P3 (switching acceptance).
     """
 
     n_per_community: int = 20
@@ -166,11 +167,8 @@ def run_protocol(cfg: ProtocolConfig) -> list[TraceRecord]:
     for t in range(cfg.horizon + 1):
         acceptance = cfg.acceptance if chain is None else chain.states[state]
         if t >= 1:
-            if acceptance is None:
-                response = 1.0  # strictly dominant without the recommender
-            else:
-                opponent = p_b if t % 2 == 1 else p_r
-                response = best_response(acceptance, opponent)
+            opponent = p_b if t % 2 == 1 else p_r
+            response = best_response(0.0 if acceptance is None else acceptance, opponent)
             if t % 2 == 1:
                 p_r = response
             else:

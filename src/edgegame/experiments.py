@@ -3,9 +3,10 @@
 A plain-text config holds one ``[scenario <name>]`` section per run with
 ``key = value`` lines. The schema is closed: unknown kinds, unknown keys
 and bad values are hard errors that name the offending line, and keys left
-out take their defaults. Each scenario kind is declared once, by the
-``_declares`` decorator on its runner, which names the kind's keys; the
-parser, the CLI and ``run_scenario`` all read that table, ``KINDS``.
+out take their defaults; ``check_scenario`` holds a ``ScenarioSpec`` built
+by hand to the same keys and defaults. Each scenario kind is declared once,
+by the ``_declares`` decorator on its runner, which names the kind's keys;
+the parser, the CLI and ``run_scenario`` all read that table, ``KINDS``.
 Runners call the library's constructors and checks directly; while a
 scenario is checked, ``check_scenario`` turns a ValueError about a field
 into a ConfigError naming its key, by the one table ``_KEY_OF_FIELD``.
@@ -169,6 +170,23 @@ def _declares(**schemas: dict[str, tuple[str, object]]):
     return register
 
 
+def _schema(kind: str, keys, lines: dict[str, int]) -> dict[str, tuple[str, object]]:
+    """Every key of ``kind``, name -> (type, default), the common ones first.
+
+    An unknown kind, or a key of ``keys`` outside the schema, is a
+    ConfigError; ``lines`` maps keys to their config lines, for the errors.
+    """
+    where = {key: f" (line {line})" for key, line in lines.items()}
+    if kind not in KINDS:
+        known = sorted(KINDS)
+        raise ConfigError(f"unknown scenario kind {kind!r}{where.get('kind', '')}; known: {known}")
+    schema = {**_COMMON_KEYS, **KINDS[kind].schema}
+    for key in keys:
+        if key not in schema:
+            raise ConfigError(f"unknown key {key!r} for kind {kind!r}{where.get(key, '')}")
+    return schema
+
+
 def make_spec(
     name: str, kind: str, raw: dict[str, str], lines: dict[str, int] | None = None
 ) -> ScenarioSpec:
@@ -177,15 +195,10 @@ def make_spec(
     ``lines`` maps keys to the config lines they came from, for the errors.
     """
     lines = lines or {}
-    if kind not in KINDS:
-        where = f" (line {lines['kind']})" if "kind" in lines else ""
-        raise ConfigError(f"unknown scenario kind {kind!r}{where}; known: {sorted(KINDS)}")
-    schema = {**_COMMON_KEYS, **KINDS[kind].schema}
+    schema = _schema(kind, raw, lines)
     params = {key: default for key, (_, default) in schema.items()}
     for key, text in raw.items():
         where = f" (line {lines[key]})" if key in lines else ""
-        if key not in schema:
-            raise ConfigError(f"unknown key {key!r} for kind {kind!r}{where}")
         type_name, _ = schema[key]
         try:
             params[key] = _PARSERS[type_name](text)
@@ -358,10 +371,9 @@ def _protocol(params: dict, csv_path: Path, summary: RunSummary) -> Iterator[Non
     summary.final_p_r = last.p_r
     summary.final_p_b = last.p_b
     summary.final_segregation = last.segregation
-    # The reference of a step is the equilibrium at its acceptance
-    # probability, or full segregation (1) when there is none (protocol1).
+    # The reference of a step is the equilibrium at its acceptance probability (c = 0 in protocol1).
     refs = {
-        c: 1.0 if c is None else nash_equilibrium(c).strategy.p_r
+        c: nash_equilibrium(0.0 if c is None else c).strategy.p_r
         for c in {r.acceptance_probability for r in records}
     }
     summary.reference_p = refs[last.acceptance_probability]
@@ -482,20 +494,24 @@ def _verify_myopic(params: dict, csv_path: Path, summary: RunSummary) -> Iterato
 def check_scenario(spec: ScenarioSpec, out_dir: str | Path = ".") -> Callable[[], RunSummary]:
     """Check every value of one scenario, writing nothing; return the call that runs it.
 
-    The call writes the data CSV and the JSON summary. The summary on disk
-    lists every file the scenario wrote except itself; the returned one also
-    names ``<name>.summary.json``.
+    A spec built by hand is held to its kind's keys, as a config file is,
+    and keys it leaves out take their defaults. The call writes the data
+    CSV and the JSON summary. The summary on disk lists every file the
+    scenario wrote except itself; the returned one also names
+    ``<name>.summary.json``.
     """
     check_scenario_name(spec.name)
+    schema = _schema(spec.kind, spec.params, {})
+    params = {key: spec.params.get(key, default) for key, (_, default) in schema.items()}
     csv_path = Path(out_dir) / f"{spec.name}.csv"
     try:
-        seed = integer("seed", spec.params.get("seed", 0))
+        seed = integer("seed", params["seed"])
         summary = RunSummary(scenario=spec.name, kind=spec.kind, seed=seed)
-        runner = KINDS[spec.kind].run(spec.params, csv_path, summary)
+        runner = KINDS[spec.kind].run(params, csv_path, summary)
         next(runner)
     except ValueError as exc:
         key = _key_of(str(exc).split(" ", 1)[0])
-        if key not in spec.params:
+        if key not in params:
             raise
         raise ConfigError(f"bad value for {key!r}: {exc}") from None
 

@@ -97,17 +97,10 @@ def realized_utility_rec_all(adj: np.ndarray, n: int, acceptance: float) -> np.n
 # --- expected (two-player) utilities ------------------------------------
 
 
-def expected_utility_base(s: StrategyPair, role: PlayerRole) -> float:
-    """Expected per-node utility without the recommender: own p minus other p."""
-    if role is PlayerRole.RED:
-        return s.p_r - s.p_b
-    return s.p_b - s.p_r
-
-
 def expected_utility_rec(s: StrategyPair, acceptance: float, role: PlayerRole) -> float:
     """Expected per-node utility with the recommender (large-n form).
 
-    Quadratic in the strategies:
+    Quadratic in the strategies, and exactly own - other (no recommender) at c = 0:
     own - other + c * (other * (2 - own - other) + own * (1 - own)).
     """
     probability("acceptance", acceptance)

@@ -120,6 +120,8 @@ def two_hop_support(adj: np.ndarray, n: int) -> np.ndarray:
     A (k, 2n, 2n) stack of adjacencies gives the (k, 2n, 2n) stack of
     their supports in one sequence; a 2n x 2n adjacency is a stack of one.
     """
+    if adj.shape[-2:] != (2 * n, 2 * n):
+        raise ValueError(f"adj must be {2 * n}x{2 * n} for n={n}, got shape {adj.shape}")
     stack = adj.reshape((-1,) + adj.shape[-2:])
     support = np.zeros(stack.shape, dtype=np.int64)
     red, blue = slice(0, n), slice(n, 2 * n)

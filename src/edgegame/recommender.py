@@ -30,6 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .checks import probability
 from .graph import DirectedGraph, two_hop_support
 
 
@@ -105,8 +106,10 @@ def recommend_stack(
     number the nodes of the stack in turn: node i of snapshot s is
     s * 2n + i, so a stack of one gives the plain (i, j) pairs.
     """
-    if len(acceptance) != len(adj) or not all(0.0 <= c <= 1.0 for c in acceptance):
-        raise ValueError(f"acceptance must be one probability in [0, 1] per snapshot, got {acceptance}")
+    if len(acceptance) != len(adj):
+        raise ValueError(f"acceptance must be one probability per snapshot, got {acceptance}")
+    for c in acceptance:
+        probability("acceptance", c)
     if adj.dtype != bool:
         raise ValueError(f"adj must be a bool array, got dtype {adj.dtype}")
     size = adj.shape[-1]

@@ -37,6 +37,16 @@ def test_matrix_validation():
         block_matrix(StrategyPair(0.5, 0.5), 0)
 
 
+@pytest.mark.parametrize(
+    "n, message", [(0, "n must be >= 1"), (2.5, "n must be an int"), (True, "n must be an int")]
+)
+def test_sample_adjacency_checks_n(n, message):
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match=f"^{message}"):
+        sample_adjacency(np.eye(2), n, rng)
+    assert rng.random() == np.random.default_rng(0).random()
+
+
 def test_sample_degenerate_matrices():
     rng = np.random.default_rng(0)
     g = sample_snapshot(np.eye(2), 3, rng)

@@ -259,6 +259,41 @@ def test_run_scenario_rejects_a_value_of_the_wrong_type(tmp_path, kind, key, val
 
 
 @pytest.mark.parametrize(
+    "kind, params, message",
+    [
+        ("nash", {"c": 0.8, "sed": 3}, "unknown key 'sed' for kind 'nash'"),
+        ("protocol1", {"c": 0.8}, "unknown key 'c' for kind 'protocol1'"),
+        ("protocol1", {"c_states": (0.6, 0.9)}, "unknown key 'c_states' for kind 'protocol1'"),
+        ("protocol2", {"c_states": (0.6, 0.9)}, "unknown key 'c_states' for kind 'protocol2'"),
+        ("protocol4", {}, "unknown scenario kind 'protocol4'"),
+    ],
+)
+def test_run_scenario_holds_a_spec_to_its_kinds_keys(tmp_path, kind, params, message):
+    # a key outside the kind's schema would be ignored or would pick another protocol
+    with pytest.raises(ConfigError, match=f"^{message}"):
+        run_scenario(ScenarioSpec("s", kind, params), tmp_path / "out")
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "kind, raw",
+    [
+        ("nash", {}),
+        ("protocol2", {"n": "5", "horizon": "4"}),
+        ("protocol3", {"n": "4", "horizon": "6", "holding_time": "2"}),
+    ],
+)
+def test_run_scenario_fills_the_keys_a_spec_leaves_out(tmp_path, kind, raw):
+    # protocol2 without c, and protocol3 without c_states, run at their defaults, not as protocol1
+    spec = make_spec("s", kind, raw)
+    given_params = {key: spec.params[key] for key in raw}
+    run_scenario(spec, tmp_path / "full")
+    run_scenario(ScenarioSpec("s", kind, given_params), tmp_path / "given")
+    for fname in ("s.csv", "s.summary.json"):
+        assert sha256(tmp_path / "given" / fname) == sha256(tmp_path / "full" / fname), fname
+
+
+@pytest.mark.parametrize(
     "kind, key", [(kind, key) for kind in KINDS for key in ("seed", *KINDS[kind].schema)]
 )
 def test_run_scenario_names_the_key_of_every_bad_value(tmp_path, kind, key):

@@ -13,7 +13,6 @@ from edgegame.game import (
     Regime,
     best_response,
     cross_partial,
-    expected_utility_base,
     expected_utility_rec,
     iterated_dominance,
     nash_equilibrium,
@@ -217,18 +216,19 @@ def test_kernel_rejects_a_non_bool_adjacency():
 
 
 def test_expected_base_examples():
-    assert expected_utility_base(StrategyPair(1, 1), PlayerRole.RED) == 0.0
+    # without the recommender (c = 0) the utility is own p minus other p, bit for bit
+    assert expected_utility_rec(StrategyPair(1, 1), 0.0, PlayerRole.RED) == 0.0
     s = StrategyPair(0.9, 0.4)
-    assert expected_utility_base(s, PlayerRole.RED) == pytest.approx(0.5)
-    assert expected_utility_base(s, PlayerRole.BLUE) == pytest.approx(-0.5)
+    assert expected_utility_rec(s, 0.0, PlayerRole.RED) == s.p_r - s.p_b == pytest.approx(0.5)
+    assert expected_utility_rec(s, 0.0, PlayerRole.BLUE) == s.p_b - s.p_r == pytest.approx(-0.5)
 
 
 def test_expected_base_zero_sum():
     rng = np.random.default_rng(2)
     for _ in range(50):
         s = StrategyPair(1 - float(rng.random()), 1 - float(rng.random()))
-        total = expected_utility_base(s, PlayerRole.RED) + expected_utility_base(
-            s, PlayerRole.BLUE
+        total = expected_utility_rec(s, 0.0, PlayerRole.RED) + expected_utility_rec(
+            s, 0.0, PlayerRole.BLUE
         )
         assert total == pytest.approx(0.0, abs=1e-15)
 
@@ -236,7 +236,7 @@ def test_expected_base_zero_sum():
 def test_expected_base_strictly_increasing_in_own_p():
     for other in (0.1, 0.5, 1.0):
         values = [
-            expected_utility_base(StrategyPair(p, other), PlayerRole.RED)
+            expected_utility_rec(StrategyPair(p, other), 0.0, PlayerRole.RED)
             for p in np.linspace(0.05, 1.0, 20)
         ]
         assert all(b > a for a, b in zip(values, values[1:]))

@@ -174,6 +174,13 @@ def test_two_hop_empty_and_disjoint_counts():
     assert support(g, 0, 9) == 5
 
 
+@pytest.mark.parametrize("shape", [(8, 8), (2, 8, 8), (6, 8), (2, 8, 6)])
+def test_two_hop_support_rejects_an_adjacency_of_another_n(shape):
+    # an 8x8 adjacency is n = 4; read as n = 3 it would give a support without error
+    with pytest.raises(ValueError, match=r"^adj must be 6x6 for n=3"):
+        two_hop_support(np.zeros(shape, dtype=bool), 3)
+
+
 def test_two_hop_support_is_zero_in_group():
     # a dense graph: every in-group pair still has zero support, and asking
     # for its proposal probability is an error

@@ -94,6 +94,18 @@ def test_acceptance_outside_unit_interval_is_rejected(acceptance):
         run_recommender(example_graph(), acceptance, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("acceptance", [True, "0.5", None])
+def test_acceptance_that_is_not_a_real_number_is_rejected(acceptance):
+    # a bool or a string would otherwise run the pass or fail inside numpy
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="^acceptance must be a real number"):
+        run_recommender(example_graph(), acceptance, rng)
+    adj = np.stack([example_graph().adj] * 2)
+    with pytest.raises(ValueError, match="^acceptance must be a real number"):
+        recommend_stack(adj, (0.5, acceptance), rng)
+    assert rng.random() == np.random.default_rng(0).random()
+
+
 def test_zero_acceptance_accepts_nothing():
     g = example_graph()
     rng = np.random.default_rng(0)
