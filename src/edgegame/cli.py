@@ -85,7 +85,7 @@ def _run_config(args: argparse.Namespace) -> int:
     path = Path(args.config)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     out_dir = _out_dir(args.out_dir)
     runs = []

@@ -30,8 +30,6 @@ from .blockmodel import sample_snapshot  # noqa: F401
 from .graph import inter_edge_count, segregation_measure  # noqa: F401
 from .recommender import run_recommender  # noqa: F401
 
-TRACE_COLUMNS = ("t", "p_r", "p_b", "c", "segregation", "inter_edges", "recommended", "accepted")
-
 # Most adjacency cells, summed over its snapshots, of one stack of steps
 # that run_protocol samples and passes at once. A stack holds at least one
 # snapshot, so from n = 46 on each step is a stack of its own. Stacks this
@@ -51,17 +49,17 @@ class SemiMarkovChain:
     """Finite-state acceptance process that can jump only every T_h steps.
 
     Holds ``states`` (acceptance probabilities) and a row-stochastic
-    transition matrix, but not the current state: ``step_semi_markov``
-    takes a state index and returns the next one. At times t with
-    (t+1) mod holding_time == 0 the next state is drawn from the current
-    row; at all other times the state is kept. Transitions never depend on
-    the players' actions.
+    transition matrix, uniform when ``transition`` is None, but not the
+    current state: ``step_semi_markov`` takes a state index and returns
+    the next one. At times t with (t+1) mod holding_time == 0 the next
+    state is drawn from the current row; at all other times the state is
+    kept. Transitions never depend on the players' actions.
     """
 
     def __init__(
         self,
         states: Sequence[float],
-        transition: Sequence[Sequence[float]] | np.ndarray,
+        transition: Sequence[Sequence[float]] | np.ndarray | None,
         holding_time: int,
         initial_state: int = 0,
     ):
@@ -70,6 +68,8 @@ class SemiMarkovChain:
             raise ValueError(f"states must be a non-empty sequence of probabilities, got {states!r}")
         self.states = tuple(float(probability("states", c)) for c in states)
         k = len(self.states)
+        if transition is None:
+            transition = np.full((k, k), 1.0 / k)
         if _shape(transition) != (k, k) or np.asarray(transition).dtype.kind not in "iuf":
             raise ValueError(f"transition must be a {k}x{k} matrix of numbers, got {transition!r}")
         self.transition = np.array(transition, dtype=np.float64)
@@ -122,16 +122,19 @@ class ProtocolConfig:
 
 
 class TraceRecord(NamedTuple):
-    """One step's ``TRACE_COLUMNS`` row, in order; counts are None when no recommender ran."""
+    """One step's trace row; ``c`` and the counts are None when no recommender ran."""
 
     t: int
     p_r: float
     p_b: float
-    acceptance_probability: float | None
+    c: float | None
     segregation: float
     inter_edges: int
     recommended: int | None
     accepted: int | None
+
+
+TRACE_COLUMNS = TraceRecord._fields
 
 
 def run_protocol(cfg: ProtocolConfig) -> list[TraceRecord]:
@@ -199,7 +202,7 @@ def run_protocol(cfg: ProtocolConfig) -> list[TraceRecord]:
                     t=start + s,
                     p_r=p_rs[s],
                     p_b=p_bs[s],
-                    acceptance_probability=cs[s],
+                    c=cs[s],
                     segregation=segregation_value(inter_s, n, n),
                     inter_edges=inter_s,
                     recommended=recommended[s],

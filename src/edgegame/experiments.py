@@ -39,11 +39,11 @@ from .dynamics import (
     write_rows,
     write_trace_csv,
 )
-from .blockmodel import StrategyPair, block_matrix, sample_snapshot
+from .blockmodel import StrategyPair, block_matrix, sample_adjacency
 from .checks import integer, probability
 from .game import iterated_dominance, nash_equilibrium
 from .opinion import OpinionConfig, run_opinion, tail_mean_segregation, write_opinion_csv
-from .recommender import run_recommender
+from .recommender import recommend_stack
 from .seeding import child_seed, substream
 
 
@@ -301,18 +301,6 @@ def _distinct(key: str, written) -> None:
         raise ConfigError(f"bad value for {key!r}: values must not repeat")
 
 
-def _uniform_matrix(k: int) -> tuple[tuple[float, ...], ...]:
-    return tuple(tuple(1.0 / k for _ in range(k)) for _ in range(k))
-
-
-def build_chain(params: dict) -> SemiMarkovChain:
-    states = _listed("c_states", params["c_states"])
-    transition = params["transition"]
-    if transition is None:
-        transition = _uniform_matrix(len(states))
-    return SemiMarkovChain(states, transition, params["holding_time"], params["initial_state"])
-
-
 def _create(path: Path) -> IO[str]:
     """Open ``path`` for writing text, making its directory first."""
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -359,7 +347,11 @@ def _nash(params: dict, csv_path: Path, summary: RunSummary) -> Iterator[None]:
     },
 )
 def _protocol(params: dict, csv_path: Path, summary: RunSummary) -> Iterator[None]:
-    acceptance = params["c"] if "c" in params else build_chain(params) if "c_states" in params else None
+    acceptance = params.get("c")
+    if "c_states" in params:
+        acceptance = SemiMarkovChain(
+            params["c_states"], params["transition"], params["holding_time"], params["initial_state"]
+        )
     cfg = ProtocolConfig(params["n"], params["horizon"], acceptance, summary.seed)
     if "c" in params:
         probability("c", cfg.acceptance)  # ProtocolConfig takes None: it runs protocol1
@@ -374,13 +366,11 @@ def _protocol(params: dict, csv_path: Path, summary: RunSummary) -> Iterator[Non
     # The reference of a step is the equilibrium at its acceptance probability (c = 0 in protocol1).
     refs = {
         c: nash_equilibrium(0.0 if c is None else c).strategy.p_r
-        for c in {r.acceptance_probability for r in records}
+        for c in {r.c for r in records}
     }
-    summary.reference_p = refs[last.acceptance_probability]
+    summary.reference_p = refs[last.c]
     tail = [r for r in records if r.t > last.t // 2]
-    summary.max_deviation = max(
-        abs(p - refs[r.acceptance_probability]) for r in tail for p in (r.p_r, r.p_b)
-    )
+    summary.max_deviation = max(abs(p - refs[r.c]) for r in tail for p in (r.p_r, r.p_b))
 
 
 @_declares(sweep_c={
@@ -444,12 +434,12 @@ def _bench(params: dict, csv_path: Path, summary: RunSummary) -> Iterator[None]:
     pair = StrategyPair(p, p)
     c = probability("c", params["c"])
     yield
-    graphs = {}
+    stacks = {}
     outcomes = {}
     for n in sizes:
-        graphs[n] = sample_snapshot(block_matrix(pair, n), n, substream(seed, "bench", n))
+        stacks[n] = sample_adjacency(block_matrix(pair, n), n, substream(seed, "bench", n))[None]
         # warmup pass doubles as the deterministic outcome record
-        outcomes[n] = run_recommender(graphs[n], c, substream(seed, "bench", n, "pass"))
+        outcomes[n] = recommend_stack(stacks[n], (c,), substream(seed, "bench", n, "pass"))
     # rounds are interleaved across sizes and the per-size minimum kept,
     # so machine-load swings cannot distort one size's ratio
     seconds = {n: float("inf") for n in sizes}
@@ -457,7 +447,7 @@ def _bench(params: dict, csv_path: Path, summary: RunSummary) -> Iterator[None]:
         for n in sizes:
             pass_rng = substream(seed, "bench", n, "pass")
             start = time.perf_counter()
-            run_recommender(graphs[n], c, pass_rng)
+            recommend_stack(stacks[n], (c,), pass_rng)
             seconds[n] = min(seconds[n], time.perf_counter() - start)
     rows = [[n, len(outcomes[n].recommended), len(outcomes[n].accepted)] for n in sizes]
     _write_rows(csv_path, ("n", "recommended", "accepted"), rows)
@@ -479,7 +469,9 @@ def _bench(params: dict, csv_path: Path, summary: RunSummary) -> Iterator[None]:
     "horizon": ("int", 50),
 })
 def _verify_myopic(params: dict, csv_path: Path, summary: RunSummary) -> Iterator[None]:
-    chain = build_chain(params)
+    chain = SemiMarkovChain(
+        params["c_states"], params["transition"], params["holding_time"], params["initial_state"]
+    )
     report = verify_myopic_optimality(chain, params["gamma"], params["grid"], params["horizon"])
     yield
     rows = [(idx, c, a) for idx, (c, a) in enumerate(zip(chain.states, report.myopic_actions))]

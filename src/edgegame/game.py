@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blockmodel import StrategyPair
-from .checks import integer, probability
+from .checks import integer, probability, real
 
 # Lower end of the action set (0, 1]. Best responses never reach it in
 # either regime; it only keeps the clamp inside the open interval.
@@ -168,11 +168,12 @@ def cross_partial(acceptance: float, s: StrategyPair, h: float) -> float:
     """Central finite-difference estimate of d2 U_red / (d p_r d p_b).
 
     The expected utility is quadratic, so for any valid step this equals
-    minus the acceptance probability up to rounding. All four stencil
-    points must stay inside (0, 1]; ``StrategyPair`` rejects any other.
+    minus the acceptance probability up to rounding. The step ``h`` is a
+    positive real number, and all four stencil points must stay inside
+    (0, 1]; ``StrategyPair`` rejects any other.
     """
-    if h <= 0.0:
-        raise ValueError("h must be positive")
+    if not real("h", h) > 0.0:  # NaN fails this test
+        raise ValueError(f"h must be positive, got {h}")
 
     def u(pr: float, pb: float) -> float:
         return expected_utility_rec(StrategyPair(pr, pb), acceptance, PlayerRole.RED)

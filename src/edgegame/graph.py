@@ -38,9 +38,7 @@ class DirectedGraph:
     The graph is its dense boolean adjacency ``adj`` (2n x 2n,
     ``adj[u, v]`` is the edge u -> v). In-group blocks hold about p n^2
     edges by design, so a dense array costs no more than adjacency lists,
-    and it feeds the numpy kernels directly. Instances are treated as
-    immutable snapshots while a simulation step reads them; mutation
-    (``add_edges``) is reserved for the single writer between steps.
+    and it feeds the numpy kernels directly.
     """
 
     __slots__ = ("n_per_community", "adj")

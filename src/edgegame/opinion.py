@@ -21,8 +21,6 @@ from .dynamics import write_rows
 from .graph import segregation_value
 from .seeding import substream
 
-OPINION_CSV_COLUMNS = ("step", "segregation", "n_plus", "n_minus", "mean_q_gap")
-
 # Most uniforms one buffer of ``run_opinion`` holds: the buffer stays small
 # however long the horizon.
 _CHUNK = 4096
@@ -153,13 +151,16 @@ def step_opinion(state: OpinionState, cfg: OpinionConfig, rng: np.random.Generat
 
 
 class OpinionRecord(NamedTuple):
-    """One ``OPINION_CSV_COLUMNS`` row, in order."""
+    """One row of the opinion CSV; its fields are the columns."""
 
     step: int
     segregation: float
     n_plus: int
     n_minus: int
     mean_q_gap: float
+
+
+OPINION_CSV_COLUMNS = OpinionRecord._fields
 
 
 def split_edges(state: OpinionState) -> int:

@@ -12,8 +12,9 @@ below the pair's probability; a proposal takes the next uniform for its
 acceptance. The pass draws these uniforms in buffers that never run past
 the last one it uses: first one per eligible pair (no pass uses fewer),
 then, while proposals have pushed pairs past the end, exactly as many as
-are still certain to be needed. numpy marks the draws below the largest
-proposal probability, and only those are visited one by one, so Python
+are still certain to be needed. One rule visits every buffer: numpy
+marks its draws below the largest proposal probability, and only those
+are visited one by one, since no other draw can be a proposal. So Python
 work per pass follows the proposals rather than the pairs. As nothing is
 drawn ahead, the generator ends where drawing one uniform at a time would
 leave it, for every bit generator, and no rewind is needed.
@@ -134,28 +135,24 @@ def recommend_stack(
 def _proposals(probs: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Indices of the proposed pairs, and every uniform the pass drew.
 
-    The first buffer holds one uniform per pair and is visited only at its
-    draws below the largest probability; each later buffer holds what the
-    proposals so far still need and is visited whole.
+    Each buffer holds what the proposals so far still need, the first one
+    uniform per pair, and is visited only at its draws below the largest
+    probability: no other draw can be a proposal.
     """
     m = probs.size
     top = probs.max()
     prob = memoryview(probs)
-    buffers = [rng.random(m)]
-    candidates = (buffers[0] < top).nonzero()[0]
-    visit = zip(candidates.tolist(), buffers[0][candidates].tolist())
+    buffers = []
     proposed: list[int] = []
-    drawn, skip = m, -1  # uniforms drawn; position of the last proposal's acceptance draw
-    while True:
+    drawn, skip = 0, -1  # uniforms drawn; position of the last proposal's acceptance draw
+    while need := m + len(proposed) - drawn:
+        buffers.append(rng.random(need))
+        candidates = (buffers[-1] < top).nonzero()[0]
         s = len(proposed)  # pair k's uniform sits at position k + s
-        for pos, u in visit:
+        for pos, u in zip((candidates + drawn).tolist(), buffers[-1][candidates].tolist()):
             if u < prob[pos - s] and pos != skip:
                 proposed.append(pos - s)
                 s += 1
                 skip = pos + 1
-        need = m + s - drawn
-        if need == 0:
-            return np.array(proposed, dtype=np.intp), np.concatenate(buffers)
-        buffers.append(rng.random(need))
-        visit = enumerate(buffers[-1].tolist(), drawn)
         drawn += need
+    return np.array(proposed, dtype=np.intp), np.concatenate(buffers)

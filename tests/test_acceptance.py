@@ -208,11 +208,11 @@ def test_c08_switching_equilibrium_tracking():
     detail = ""
     for r in records:
         if r.t % 100 >= 10:
-            target = nash_equilibrium(r.acceptance_probability).strategy.p_r
+            target = nash_equilibrium(r.c).strategy.p_r
             dev = max(abs(r.p_r - target), abs(r.p_b - target))
             if dev > 1e-3:
                 ok = False
-                detail = f"t={r.t} (c={r.acceptance_probability}): dev={dev:.2e}"
+                detail = f"t={r.t} (c={r.c}): dev={dev:.2e}"
                 break
     elapsed = time.perf_counter() - start
     _report(8, "strategies track the switching equilibrium", ok, detail or f"10 windows, {elapsed:.1f}s")

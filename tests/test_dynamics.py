@@ -69,6 +69,15 @@ def test_identity_matrix_is_absorbing():
     assert rng.random() == expected.random()
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 7])
+def test_chain_without_transition_is_uniform(k):
+    # the same doubles as the matrix of 1/k written out row by row
+    chain = SemiMarkovChain([0.5] * k, None, 1)
+    written = SemiMarkovChain([0.5] * k, [[1.0 / k] * k for _ in range(k)], 1)
+    assert chain.transition.tobytes() == written.transition.tobytes()
+    assert chain._cum.tobytes() == written._cum.tobytes()
+
+
 def test_permutation_chain_alternates_exactly():
     chain = two_state_chain(holding=10)
     rng = np.random.default_rng(1)
@@ -124,7 +133,7 @@ def test_protocol1_segregates_in_two_steps():
                 assert (r.p_r, r.p_b) == (1.0, 1.0)
                 assert r.inter_edges == 0
                 assert r.segregation == 1.0
-            assert r.acceptance_probability is None
+            assert r.c is None
             assert r.recommended is None and r.accepted is None
 
 
@@ -140,7 +149,7 @@ def test_protocol2_converges_to_equilibrium():
         if r.t >= 10:
             assert abs(r.p_r - 0.75) <= 1e-3
             assert abs(r.p_b - 0.75) <= 1e-3
-        assert r.acceptance_probability == 0.8
+        assert r.c == 0.8
         assert r.recommended is not None and r.accepted is not None
 
 
@@ -336,7 +345,7 @@ def test_protocol3_tracks_switching_equilibrium():
     for r in trace:
         window_step = r.t % 50
         if window_step >= 10:
-            target = nash_equilibrium(r.acceptance_probability).strategy.p_r
+            target = nash_equilibrium(r.c).strategy.p_r
             assert abs(r.p_r - target) <= 1e-3
             assert abs(r.p_b - target) <= 1e-3
 

@@ -510,6 +510,16 @@ def test_cli_missing_config_is_config_error(tmp_path):
     assert main(["run", str(tmp_path / "nope.txt")]) == 2
 
 
+def test_cli_config_that_is_not_utf8_is_config_error(tmp_path, capsys):
+    # a bare decode error exited 1 without naming the file
+    cfg = tmp_path / "latin.txt"
+    cfg.write_bytes(b"\xff\xfe[scenario a]\nkind = nash\n")
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out-dir", str(out)]) == 2
+    assert f"config error: cannot read config {cfg}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_bad_flag_value_is_config_error(tmp_path, capsys):
     code = main(["protocol2", "--n", "abc", "--out-dir", str(tmp_path)])
     assert code == 2

@@ -368,6 +368,10 @@ def test_cross_partial_stencil_validation():
         cross_partial(0.8, StrategyPair(1.0, 0.5), 1e-4)  # p_r + h leaves (0, 1]
     with pytest.raises(ValueError):
         cross_partial(0.8, StrategyPair(0.5, 0.5), 0.0)
+    # NaN failed on p_r, True ran as 1.0 and a string raised a TypeError
+    for h in (float("nan"), True, "x"):
+        with pytest.raises(ValueError, match="^h must be"):
+            cross_partial(0.8, StrategyPair(0.5, 0.5), h)
 
 
 # --- Monte-Carlo consistency --------------------------------------------------

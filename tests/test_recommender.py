@@ -2,13 +2,14 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edgegame.blockmodel import StrategyPair, block_matrix, sample_adjacency, sample_snapshot
 from edgegame.graph import DirectedGraph, two_hop_support
 from edgegame.recommender import (
     RecommendationOutcome,
+    _proposals,
     recommend_stack,
     recommendation_probability,
     run_recommender,
@@ -285,6 +286,37 @@ def test_pass_matches_reference_loop_draw_for_draw():
         # generators fresh and part-way through their stream
         skip = int(meta.choice([0, 1, meta.integers(2, 5000)]))
         assert_matches_reference(g, acceptance, lambda: np.random.default_rng(k), skip)
+
+
+def reference_proposals(probs, rng):
+    """``_proposals`` as a loop drawing one uniform at a time: each pair's, then a proposal's acceptance."""
+    proposed, draws = [], []
+    for k, p in enumerate(probs.tolist()):
+        draws.append(rng.random())
+        if draws[-1] < p:
+            proposed.append(k)
+            draws.append(rng.random())
+    return proposed, draws
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    probs=st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), min_size=1, max_size=60),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(probs=[0.5], seed=0)  # a single pair
+@example(probs=[1.0], seed=0)
+@example(probs=[1.0] * 60, seed=0)  # every pair proposed
+@example(probs=[1.0] * 59, seed=1)
+@example(probs=[0.0, 1.0] * 30, seed=2)
+def test_proposals_match_a_loop_drawing_one_uniform_at_a_time(probs, seed):
+    probs = np.array(probs)
+    rng, slow_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    proposed, draws = _proposals(probs, rng)
+    expected, expected_draws = reference_proposals(probs, slow_rng)
+    assert proposed.tolist() == expected
+    assert draws.tolist() == expected_draws
+    assert rng.random() == slow_rng.random()
 
 
 class RecordingGenerator:
