@@ -74,7 +74,8 @@ def realized_utility_rec_all(adj: np.ndarray, n: int, acceptance: float) -> np.n
     size = 2 * n
     cross = adj.copy()
     cross[:n, :n] = cross[n:, n:] = False
-    u, v = cross.nonzero()  # friend u -> follower v
+    # friend u -> follower v, row-major; a flat nonzero is several times faster than a 2-D one
+    u, v = np.divmod(np.flatnonzero(cross), size)
     cross_followers = np.bincount(u, minlength=size)
     cross_friends = np.bincount(v, minlength=size)
     in_followers = adj.sum(axis=1) - cross_followers

@@ -316,6 +316,8 @@ def acceptances(draw):
 @example(n=26, horizon=160, acceptance=0.8, seed=1)
 @example(n=30, horizon=160, acceptance=two_state_chain(holding=7), seed=2)
 @example(n=29, horizon=150, acceptance=None, seed=3)
+# the benchmark's desk-scale shape, one stack
+@example(n=20, horizon=20, acceptance=0.9, seed=5)
 def test_run_protocol_matches_the_step_by_step_reference(n, horizon, acceptance, seed):
     # the records, and where each substream's generator ends
     cfg = ProtocolConfig(n_per_community=n, horizon=horizon, acceptance=acceptance, seed=seed)
@@ -332,6 +334,20 @@ def test_run_protocol_matches_the_step_by_step_reference(n, horizon, acceptance,
     assert sorted(made) == sorted(SUBSTREAMS)
     for label in SUBSTREAMS:
         assert made[label].bit_generator.state == rngs[label].bit_generator.state, label
+
+
+# The (n, horizon) of each example above, and whether it spans several stacks,
+# so that a new STACK_CELLS cannot quietly make the multi-stack ones one stack.
+@pytest.mark.parametrize(
+    "n, horizon, several",
+    [(26, 160, True), (30, 160, True), (29, 150, True), (20, 20, False)],
+)
+def test_the_reference_examples_span_the_stacks_they_should(n, horizon, several):
+    # one sample_adjacency draw per stack; how many stacks depends on n and horizon alone
+    sampler = mock.Mock(wraps=dynamics.blockmodel.sample_adjacency)
+    with mock.patch.object(dynamics.blockmodel, "sample_adjacency", sampler):
+        run_protocol(ProtocolConfig(n_per_community=n, horizon=horizon, seed=0))
+    assert (sampler.call_count >= 2) == several, sampler.call_count
 
 
 def test_protocol3_tracks_switching_equilibrium():
