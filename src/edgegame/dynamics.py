@@ -33,9 +33,9 @@ from .recommender import run_recommender  # noqa: F401
 # Most adjacency cells, summed over its snapshots, of one stack of steps
 # that run_protocol samples and passes at once. A stack holds at least one
 # snapshot, so from n = 91 on each step is a stack of its own, and a
-# horizon-20 run at n <= 27 is one stack. That costs about 0.5 MB of peak
+# horizon-20 run at n <= 27 is one stack. That costs about 0.35 MB of peak
 # RSS: layerbench's protocol-n20 workload (n = 20, horizon 20) peaks at
-# 39.7 MB against 39.2 MB with 2**13 cells (x86-64, numpy 2.4.6, medians
+# 39.6 MB against 39.2 MB with 2**13 cells (x86-64, numpy 2.4.6, medians
 # of 10 runs).
 STACK_CELLS = 2**16
 

@@ -13,10 +13,9 @@ into a ConfigError naming its key, by the one table ``_KEY_OF_FIELD``.
 ``make_spec`` is the only way a spec is built from text: ``parse_config``
 and the CLI both return what it builds. Each scenario writes a data CSV
 plus a JSON summary into the output directory, every file through
-``_create``, which rewrites an existing file in place, and only after its
-values have been checked; re-running a scenario with the same spec
-reproduces the files bit for bit. Wall times go only to
-``<name>.timings.json``, which the bench kind writes.
+``_create``, and only after its values have been checked; re-running a
+scenario with the same spec reproduces the files bit for bit. Wall times
+go only to ``<name>.timings.json``, which the bench kind writes.
 """
 
 from __future__ import annotations
@@ -24,9 +23,7 @@ from __future__ import annotations
 import json
 import math
 import os
-import stat
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import IO, Callable, Iterator, NamedTuple
@@ -304,27 +301,10 @@ def _distinct(key: str, written) -> None:
         raise ConfigError(f"bad value for {key!r}: values must not repeat")
 
 
-@contextmanager
-def _create(path: Path) -> Iterator[IO[str]]:
-    """Open ``path`` for writing text, making its directory first.
-
-    An existing file is rewritten in place: written from its start and,
-    when the block exits, raising or not, cut at the last byte written, so
-    it holds only what the block wrote, as after ``"w"``. That is several
-    times faster than reopening it with truncation, and unlike unlinking
-    it the file keeps its inode: a symlink is followed and a hard link sees
-    the new bytes. As with ``"w"``, the umask applies to a new file and
-    only a regular file is cut, so a path naming a device such as
-    ``/dev/null`` still takes the output.
-    """
+def _create(path: Path) -> IO[str]:
+    """Open ``path`` for writing text, making its directory first."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    fp = open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8", newline="")
-    try:
-        yield fp
-    finally:
-        with fp:
-            if stat.S_ISREG(os.fstat(fp.fileno()).st_mode):
-                fp.truncate()
+    return path.open("w", encoding="utf-8", newline="")
 
 
 def _write_rows(path: Path, columns: tuple[str, ...], rows: list) -> None:

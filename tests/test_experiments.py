@@ -3,7 +3,6 @@
 import hashlib
 import json
 import math
-import os
 from pathlib import Path
 
 import pytest
@@ -451,57 +450,6 @@ def test_scenario_rerun_is_hash_identical(tmp_path):
         for fname in sum_a.files:
             assert sha256(out_a / fname) == sha256(out_b / fname), (name, fname)
         assert sum_b.files == sum_a.files
-
-
-# --- rewriting an output in place ------------------------------------------------
-
-
-@pytest.mark.parametrize("old", [None, b"x" * 100, b"x"], ids=["new", "longer", "shorter"])
-def test_create_leaves_exactly_the_new_bytes(tmp_path, old):
-    path = tmp_path / "out" / "run.csv"
-    if old is not None:
-        path.parent.mkdir()
-        path.write_bytes(old)
-    with experiments._create(path) as fp:
-        fp.write("t,p\n0,0.5\n")
-    assert path.read_bytes() == b"t,p\n0,0.5\n"
-    if old is None:  # made with the mode "w" gives, the umask applied
-        with (tmp_path / "by_w.csv").open("w") as fp:
-            pass
-        assert path.stat().st_mode == (tmp_path / "by_w.csv").stat().st_mode
-
-
-def test_create_rewrites_the_file_a_link_names(tmp_path):
-    target = tmp_path / "target.csv"
-    target.write_text("old bytes, longer than the new ones\n")
-    inode = target.stat().st_ino
-    hard = tmp_path / "hard.csv"
-    os.link(target, hard)
-    with experiments._create(hard) as fp:
-        fp.write("new\n")
-    assert target.read_bytes() == b"new\n"
-    assert hard.stat().st_ino == target.stat().st_ino == inode
-    symlink = tmp_path / "symlink.csv"
-    symlink.symlink_to(target)
-    with experiments._create(symlink) as fp:
-        fp.write("newer\n")
-    assert symlink.is_symlink()
-    assert target.read_bytes() == b"newer\n"
-    # a device is written but never cut, as "w" leaves it
-    null = tmp_path / "null.csv"
-    null.symlink_to(os.devnull)
-    with experiments._create(null) as fp:
-        fp.write("discarded\n")
-    assert null.is_symlink()
-
-
-def test_create_keeps_only_what_was_written_before_a_raise(tmp_path):
-    path = tmp_path / "run.csv"
-    path.write_text("old bytes, longer than what is written\n")
-    with pytest.raises(RuntimeError, match="mid-write"), experiments._create(path) as fp:
-        fp.write("t,p\n")
-        raise RuntimeError("mid-write")
-    assert path.read_bytes() == b"t,p\n"
 
 
 # --- CLI ---------------------------------------------------------------------
