@@ -193,7 +193,7 @@ def run_opinion(cfg: OpinionConfig) -> list[OpinionRecord]:
     The first record is the initial state (step 0). Identical configs
     produce identical traces.
 
-    The loop is ``step_opinion`` inlined over local lists. It takes its
+    The loop is ``step_opinion`` rewritten over local lists. It takes its
     uniforms from the ``steps`` substream in buffers of at most ``_CHUNK``,
     each never longer than the lower bound of what the run still needs: one
     per step left, and two more for a speaker with neighbors. So it uses
@@ -214,6 +214,14 @@ def run_opinion(cfg: OpinionConfig) -> list[OpinionRecord]:
     disagree. It updates them only when a speaker's public opinion flips,
     so the listener's ally count is an integer read, and a record is built
     from the counts instead of recounted by ``measure``.
+
+    A linked speaker's step branches once, on the opinion it voices, and
+    reads its update from per-run terms with the same floats:
+    ``alpha * 1.0 == alpha`` on agreement, and on disagreement ``credit[a]``
+    for a allies, which is ``alpha * -1.0 == -alpha`` without the
+    recommender and ``alpha * (-1.0 + acceptance * a)`` with it. Steps run
+    in blocks of ``record_every``; each block but a shorter last one ends in
+    a record.
     """
     init_rng = substream(cfg.seed, "opinion", "init")
     step_rng = substream(cfg.seed, "opinion", "steps")
@@ -241,17 +249,23 @@ def run_opinion(cfg: OpinionConfig) -> list[OpinionRecord]:
         listeners = np.where(d > 0, flat[offs[speakers[:-1]] + (buf[1:] * d).astype(np.intp)], -1)
         return speakers.tolist(), listeners.tolist(), (buf[2:] < explore).tolist()
 
+    # alpha times a disagreement's reward, by the listener's ally count,
+    # which is at most the listener's degree less the speaker
+    credit = [alpha * (-1.0 + acceptance * a) if with_rec else -alpha for a in range(max(deg))]
+
     # a speaker at ``at`` has two draws after it while ``at < paired``
     at = size = paired = 0
-    for s in range(1, horizon + 1):
-        if at == size:
-            buf = step_rng.random(min(horizon - s + 1, chunk))
-            S, J, F = decode(buf)
-            at, size, paired = 0, len(buf), len(buf) - 2
-        i = S[at]
-        if not deg[i]:
-            at += 1
-        else:
+    for first in range(1, horizon + 1, every):
+        last = min(first + every - 1, horizon)
+        for s in range(first, last + 1):
+            if at == size:
+                buf = step_rng.random(min(horizon - s + 1, chunk))
+                S, J, F = decode(buf)
+                at, size, paired = 0, len(buf), len(buf) - 2
+            i = S[at]
+            if not deg[i]:
+                at += 1
+                continue
             if at >= paired:
                 # top up, keeping the speaker's draw and any after it
                 left = size - at - 1
@@ -260,28 +274,34 @@ def run_opinion(cfg: OpinionConfig) -> list[OpinionRecord]:
                 at, size, paired = 0, len(buf), len(buf) - 2
             j, explored = J[at], F[at]
             at += 3
-            favored = 1 if q_plus[i] >= q_minus[i] else -1
-            expressed = -favored if explored else favored
-            if opinions[i] != expressed:
-                opinions[i] = expressed
-                n_plus += expressed
-                split += expressed * (deg[i] - 2 * plus[i])
-                for k in neighbors[i]:
-                    plus[k] += expressed
-            heard = opinions[j]
-            reward = float(expressed * heard)
-            if with_rec and expressed != heard:
-                # i is one of j's neighbors and already holds ``expressed``
-                allies = plus[j] - 1 if expressed == 1 else deg[j] - plus[j] - 1
-                reward += acceptance * allies
-            if expressed == 1:
-                q_plus[i] = keep * q_plus[i] + alpha * reward
+            # i voices +1 when it favors +1 and does not explore, or the reverse;
+            # i is one of j's neighbors and already holds what it voices
+            if (q_plus[i] >= q_minus[i]) != explored:
+                if opinions[i] == -1:
+                    opinions[i] = 1
+                    n_plus += 1
+                    split += deg[i] - 2 * plus[i]
+                    for k in neighbors[i]:
+                        plus[k] += 1
+                if opinions[j] == 1:
+                    q_plus[i] = keep * q_plus[i] + alpha
+                else:
+                    q_plus[i] = keep * q_plus[i] + credit[plus[j] - 1]
             else:
-                q_minus[i] = keep * q_minus[i] + alpha * reward
-        if s % every == 0:
+                if opinions[i] == 1:
+                    opinions[i] = -1
+                    n_plus -= 1
+                    split -= deg[i] - 2 * plus[i]
+                    for k in neighbors[i]:
+                        plus[k] -= 1
+                if opinions[j] == -1:
+                    q_minus[i] = keep * q_minus[i] + alpha
+                else:
+                    q_minus[i] = keep * q_minus[i] + credit[deg[j] - plus[j] - 1]
+        if last % every == 0:
             gap = np.add.reduce(np.abs(np.subtract(q_plus, q_minus))) / n
             seg = segregation_value(2 * split, n_plus, n - n_plus)
-            records.append(OpinionRecord(s, seg, n_plus, n - n_plus, float(gap)))
+            records.append(OpinionRecord(last, seg, n_plus, n - n_plus, float(gap)))
     return records
 
 

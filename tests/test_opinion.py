@@ -4,7 +4,7 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edgegame import opinion
@@ -279,7 +279,24 @@ def assert_matches_reference(cfg, chunk=opinion._CHUNK):
     return steps.sizes
 
 
+def corner(**changes):
+    """An explicit example: a small linked config, changed where ``changes`` says."""
+    base = dict(
+        n_agents=6, radius=0.6, exploration=0.1, acceptance=0.9, learning_rate=0.05,
+        with_recommender=True, horizon=80, record_every=10, seed=2, chunk=opinion._CHUNK,
+    )
+    return example(**{**base, **changes})
+
+
 @settings(derandomize=True, max_examples=150, deadline=None)
+# every agent linked: a listener's ally count reaches 4, the top of ``credit``
+@corner(radius=1.5)
+@corner(learning_rate=1.0)  # keep == 0.0
+@corner(acceptance=0.0)
+@corner(exploration=1.0)
+@corner(with_recommender=False)
+@corner(horizon=77)  # a last block of 7 steps, not recorded
+@corner(record_every=100)  # only the step-0 record
 @given(
     n_agents=st.integers(2, 12),
     radius=st.floats(1e-9, 1.5),
