@@ -56,43 +56,41 @@ def realized_utility_rec_all(adj: np.ndarray, n: int, acceptance: float) -> np.n
     are evaluated exactly on the snapshot, without clamping the ratios;
     with acceptance 0 only the base utility remains.
 
-    ``adj`` is the boolean 2n x 2n adjacency. The kernel works from its E
-    cross edges (u, v), friend u to follower v, and each node's in-group
-    follower count. The expected links of i sum the in-group follower
-    counts of i's cross contacts, less the support at i's existing cross
-    edges (the count ``graph.two_hop_support`` gives the recommender
-    pass); the bridging term takes off, per cross friend, the in-group
-    followers of i that already follow it. The work is O(n^2 + E n), and
+    ``adj`` is the boolean 2n x 2n adjacency, or a (k, 2n, 2n) stack of
+    them, which gives a (k, 2n) stack of utilities equal to k calls. The
+    kernel works in contact space: each of the E cross edges, friend u to
+    follower v, gives the contacts (x, y) = (u, v) and (v, u), and the
+    reach of a contact is the number of in-group followers of y that x
+    has no cross edge to. Both reward terms are sums of reaches: the
+    expected links of x over all its contacts (the support of
+    ``graph.two_hop_support`` summed over x's missing cross pairs), the
+    bridging of v over its (u, v) contacts. The work is O(E n), and
     sampled snapshots have E = O(n). Every partial sum is an exact
     integer, so no summation order can change a bit of the result.
     """
-    if adj.shape != (2 * n, 2 * n):
-        raise ValueError(f"adj must be {2 * n}x{2 * n} for n={n}, got shape {adj.shape}")
+    integer("n", n, 1)
+    size = 2 * n
+    if adj.shape[-2:] != (size, size) or adj.ndim not in (2, 3):
+        raise ValueError(f"adj must be {size}x{size}, or a stack of them, for n={n}, got {adj.shape}")
     if adj.dtype != bool:
         raise ValueError(f"adj must be a bool array, got dtype {adj.dtype}")
     probability("acceptance", acceptance)
-    size = 2 * n
-    cross = adj.copy()
-    cross[:n, :n] = cross[n:, n:] = False
+    rows = adj.reshape(-1, size)  # node i of snapshot s is row s * 2n + i
+    cross = rows.copy()
+    blocks = cross.reshape(-1, 2, n, 2, n)
+    blocks[:, 0, :, 0] = blocks[:, 1, :, 1] = False
     # friend u -> follower v, row-major; a flat nonzero is several times faster than a 2-D one
-    u, v = np.divmod(np.flatnonzero(cross), size)
-    cross_followers = np.bincount(u, minlength=size)
-    cross_friends = np.bincount(v, minlength=size)
-    in_followers = adj.sum(axis=1) - cross_followers
-    base = (cross_followers - cross_friends).astype(np.float64)
+    u, j = np.divmod(np.flatnonzero(cross), size)
+    v = u - u % size + j
+    nodes = len(rows)
+    base = (np.bincount(u, minlength=nodes) - np.bincount(v, minlength=nodes)).astype(np.float64)
     if n == 1:
-        return base
-    # the support at (u, v): in-group friends of v linked with u either way
-    support = ((cross[u].view(np.uint8) + cross[:, u].T) * adj[:, v].T).sum(axis=1)
-    expected_links = (
-        np.bincount(u, in_followers[v], size)
-        + np.bincount(v, in_followers[u], size)
-        - np.bincount(u, support, size)
-    )
-    # in-group followers of v that already follow v's cross friend u
-    following = (adj[v] & cross[u]).sum(axis=1)
-    bridging = cross_friends * in_followers - np.bincount(v, following, size)
-    return base + acceptance / (n - 1) * (expected_links + bridging)
+        return base.reshape(adj.shape[:-1])
+    x, y = np.concatenate((u, v)), np.concatenate((v, u))
+    reach = ((rows ^ cross)[y] > cross[x]).sum(axis=1)
+    # every reach counts to x's expected links, and the reach of (u, v) to v's bridging
+    rewards = np.bincount(np.concatenate((x, v)), np.concatenate((reach, reach[: len(u)])), nodes)
+    return (base + acceptance / (n - 1) * rewards).reshape(adj.shape[:-1])
 
 
 # --- expected (two-player) utilities ------------------------------------

@@ -15,6 +15,7 @@ import pytest
 
 from edgegame.blockmodel import StrategyPair, block_matrix, sample_adjacency, sample_snapshot
 from edgegame.dynamics import (
+    STACK_CELLS,
     ProtocolConfig,
     SemiMarkovChain,
     run_protocol,
@@ -136,6 +137,9 @@ def test_c04_tail_segregation_decreases_with_acceptance():
     _report(4, "mean tail segregation strictly decreasing in acceptance", ok, detail)
 
 
+MC_MEANS_SHA256 = "759a6428b7135b6f3a50dfefb6e064b881f9c5fb94051ab86d08d75077e34779"
+
+
 def test_c05_monte_carlo_matches_analytic_utilities():
     start = time.perf_counter()
     n = 50
@@ -145,27 +149,39 @@ def test_c05_monte_carlo_matches_analytic_utilities():
         for c in (0.0, 0.4, 0.8)
         for (p_r, p_b) in ((0.25, 0.25), (0.5, 1.0), (0.75, 0.5), (1.0, 0.75))
     ]
+    # stacks of the protocols' size, which give the same draws and means as
+    # one snapshot at a time
+    stack = STACK_CELLS // (4 * n * n)
     rng = substream(2025, "acceptance", "mc")
+    digest = hashlib.sha256()
     ok = True
     details = []
     for p_r, p_b, c in points:
         m = block_matrix(StrategyPair(p_r, p_b), n)
-        means = np.empty(snapshots)
-        for k in range(snapshots):
-            adj = sample_adjacency(m, n, rng)
-            means[k] = realized_utility_rec_all(adj, n, c)[:n].mean()
+        means = np.concatenate([
+            realized_utility_rec_all(
+                sample_adjacency(np.broadcast_to(m, (min(stack, snapshots - k), 2, 2)), n, rng), n, c
+            )[:, :n].mean(axis=1)
+            for k in range(0, snapshots, stack)
+        ])
+        digest.update(means.tobytes())
         expected = expected_utility_rec(StrategyPair(p_r, p_b), c, PlayerRole.RED)
         se = float(means.std(ddof=1) / math.sqrt(snapshots))
         err = abs(float(means.mean()) - expected)
         if err > 3 * se + 2.0 / n:
             ok = False
             details.append(f"({p_r},{p_b},{c}): err={err:.4f} > {3 * se + 2 / n:.4f}")
+    # every snapshot's mean, bit for bit, as one snapshot at a time gave them
+    if digest.hexdigest() != MC_MEANS_SHA256:
+        ok = False
+        details.append(f"means digest is not the pinned {MC_MEANS_SHA256}")
     elapsed = time.perf_counter() - start
     _report(
         5,
         "Monte-Carlo utility means match analytic forms",
         ok,
-        "; ".join(details) or f"12 points x {snapshots} snapshots, {elapsed:.0f}s",
+        "; ".join(details + [f"means sha256 {digest.hexdigest()}"])
+        + f" (12 points x {snapshots} snapshots, {elapsed:.0f}s)",
     )
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgegame.blockmodel import StrategyPair, block_matrix, sample_adjacency
+from edgegame.dynamics import STACK_CELLS
 from edgegame.game import (
     PlayerRole,
     Regime,
@@ -136,9 +137,10 @@ def test_realized_rec_matches_oracle():
 
 
 def test_vectorized_matches_per_node():
-    # The per-block assembly of the kernel against per-node sums over the
-    # same two_hop_support: expected links over missing pairs, bridging
-    # over (cross friend, in-group follower) pairs.
+    # The kernel's contact sums against per-node sums over
+    # graph.two_hop_support, the one definition of the support: expected
+    # links over missing pairs, bridging over (cross friend, in-group
+    # follower) pairs. This is what ties the reaches to the support.
     rng = np.random.default_rng(33)
     for _ in range(15):
         n = int(rng.integers(2, 12))
@@ -191,8 +193,38 @@ def test_kernel_is_bit_identical_to_dense_reference(snapshot, acceptance):
     assert np.array_equal(got, want)
 
 
+def stack_of_snapshots(n, k, density, seed):
+    return np.random.default_rng(seed).random((k, 2 * n, 2 * n)) < density, n
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    stack=st.builds(
+        stack_of_snapshots,
+        st.integers(1, 12),
+        st.integers(1, 5),
+        st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+        seeds,
+    ),
+    acceptance=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+)
+def test_stacked_kernel_is_bit_identical_to_one_call_per_snapshot(stack, acceptance):
+    adj, n = stack
+    got = realized_utility_rec_all(adj, n, acceptance)
+    want = np.stack([realized_utility_rec_all(a, n, acceptance) for a in adj])
+    assert got.dtype == want.dtype
+    assert got.shape == want.shape == (len(adj), 2 * n)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [2.0, True, 0])
+def test_kernel_rejects_a_bad_n(n):
+    with pytest.raises(ValueError, match="^n must be"):
+        realized_utility_rec_all(np.zeros((4, 4), dtype=bool), n, 0.5)
+
+
 def test_kernel_rejects_wrong_shape():
-    for shape in ((6, 6), (8, 6), (8,), (8, 8, 1)):
+    for shape in ((6, 6), (8, 6), (8,), (8, 8, 1), (2, 1, 8, 8)):
         with pytest.raises(ValueError, match="adj must be 8x8"):
             realized_utility_rec_all(np.zeros(shape, dtype=bool), 4, 0.5)
 
@@ -378,11 +410,15 @@ def test_cross_partial_stencil_validation():
 
 
 def mc_red_mean(s: StrategyPair, c: float, n: int, snapshots: int, rng) -> tuple[float, float]:
-    m = block_matrix(s, n)
-    means = np.empty(snapshots)
-    for k in range(snapshots):
-        adj = sample_adjacency(m, n, rng)
-        means[k] = realized_utility_rec_all(adj, n, c)[:n].mean()
+    # stacks of the protocols' size, which give the same draws and means as
+    # one snapshot at a time
+    m, stack = block_matrix(s, n), STACK_CELLS // (4 * n * n)
+    means = np.concatenate([
+        realized_utility_rec_all(
+            sample_adjacency(np.broadcast_to(m, (min(stack, snapshots - k), 2, 2)), n, rng), n, c
+        )[:, :n].mean(axis=1)
+        for k in range(0, snapshots, stack)
+    ])
     return float(means.mean()), float(means.std(ddof=1) / math.sqrt(snapshots))
 
 
