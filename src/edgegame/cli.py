@@ -2,7 +2,9 @@
 
 Exit codes: 0 on success, 2 for configuration errors, 1 for runtime
 failures. The output directory comes from --out-dir, the EDGEGAME_OUT_DIR
-environment variable, or ``./out``, in that order of precedence.
+environment variable, or ``./out``, in that order of precedence; an empty
+flag or variable counts as unset. A config file is read as UTF-8, with or
+without a byte-order mark.
 """
 
 from __future__ import annotations
@@ -52,9 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _out_dir(flag_value: str | None) -> str:
-    if flag_value:
-        return flag_value
-    return os.environ.get("EDGEGAME_OUT_DIR", DEFAULT_OUT_DIR)
+    return flag_value or os.environ.get("EDGEGAME_OUT_DIR") or DEFAULT_OUT_DIR
 
 
 def _spec_from_args(args: argparse.Namespace) -> ScenarioSpec:
@@ -84,7 +84,7 @@ def main(argv: list[str] | None = None) -> int:
 def _run_config(args: argparse.Namespace) -> int:
     path = Path(args.config)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     out_dir = _out_dir(args.out_dir)

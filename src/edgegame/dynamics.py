@@ -21,13 +21,13 @@ from . import blockmodel
 from .blockmodel import StrategyPair, block_matrix
 from .checks import integer, probability, real
 from .game import PlayerRole, best_response, expected_utility_rec, nash_equilibrium
-from .graph import segregation_value
+from .graph import inter_edge_count, segregation_value
 from .recommender import recommend_stack
 from .seeding import substream
 
 # Not called here; layerbench's tracer TARGETS resolve them here (ROADMAP item 1).
 from .blockmodel import sample_snapshot  # noqa: F401
-from .graph import inter_edge_count, segregation_measure  # noqa: F401
+from .graph import segregation_measure  # noqa: F401
 from .recommender import run_recommender  # noqa: F401
 
 # Most adjacency cells, summed over its snapshots, of one stack of steps
@@ -190,7 +190,7 @@ def run_protocol(cfg: ProtocolConfig) -> list[TraceRecord]:
         k = len(cs)
         # looked up on the module, so that a rebinding of the sampler sees each draw
         adj = blockmodel.sample_adjacency(np.stack(tables), n, graph_rng)
-        inter = adj[:, :n, n:].sum(axis=(1, 2)) + adj[:, n:, :n].sum(axis=(1, 2))
+        inter = inter_edge_count(adj, n)
         recommended = accepted = [None] * k
         if cfg.acceptance is not None:
             outcome = recommend_stack(adj, cs, rec_rng)

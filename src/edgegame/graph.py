@@ -91,16 +91,21 @@ class DirectedGraph:
         return g
 
 
-def inter_edge_count(g: DirectedGraph) -> int:
-    """Number of directed edges whose endpoints are in different communities."""
-    n = g.n_per_community
-    return int(np.count_nonzero(g.adj[:n, n:]) + np.count_nonzero(g.adj[n:, :n]))
+def _check_adjacency(adj: np.ndarray, n: int) -> None:
+    if adj.shape[-2:] != (2 * n, 2 * n):
+        raise ValueError(f"adj must be {2 * n}x{2 * n} for n={n}, got shape {adj.shape}")
 
 
-def segregation_measure(g: DirectedGraph) -> float:
-    """Segregation of the graph: 1 minus realized over maximal cross edges."""
-    n = g.n_per_community
-    return segregation_value(inter_edge_count(g), n, n)
+def inter_edge_count(adj: np.ndarray, n: int):
+    """Directed cross-community edges of a 2n x 2n adjacency, or a (k,) array of a stack's."""
+    _check_adjacency(adj, n)
+    counts = adj[..., :n, n:].sum(axis=(-2, -1)) + adj[..., n:, :n].sum(axis=(-2, -1))
+    return int(counts) if adj.ndim == 2 else counts
+
+
+def segregation_measure(adj: np.ndarray, n: int):
+    """1 minus realized over maximal cross edges, of an adjacency or of each snapshot of a stack."""
+    return segregation_value(inter_edge_count(adj, n), n, n)
 
 
 def two_hop_support(adj: np.ndarray, n: int) -> np.ndarray:
@@ -118,8 +123,7 @@ def two_hop_support(adj: np.ndarray, n: int) -> np.ndarray:
     A (k, 2n, 2n) stack of adjacencies gives the (k, 2n, 2n) stack of
     their supports in one sequence; a 2n x 2n adjacency is a stack of one.
     """
-    if adj.shape[-2:] != (2 * n, 2 * n):
-        raise ValueError(f"adj must be {2 * n}x{2 * n} for n={n}, got shape {adj.shape}")
+    _check_adjacency(adj, n)
     stack = adj.reshape((-1,) + adj.shape[-2:])
     support = np.zeros(stack.shape, dtype=np.int64)
     red, blue = slice(0, n), slice(n, 2 * n)

@@ -54,14 +54,11 @@ class OpinionConfig:
         integer("seed", self.seed)
 
 
-def init_geometric_graph(
-    n: int, radius: float, rng: np.random.Generator
-) -> tuple[list[list[int]], np.ndarray]:
+def init_geometric_graph(n: int, radius: float, rng: np.random.Generator) -> list[list[int]]:
     """Drop n points uniformly in the unit square; link pairs within radius.
 
-    Returns per-agent neighbor lists in ascending order and the
-    undirected edges as an (m, 2) array of (u, v) rows with u < v, in
-    lexicographic order.
+    Returns the contact graph as per-agent neighbor lists in ascending
+    order; each undirected edge is in both of its ends' lists.
     """
     integer("n", n, 2)
     if not radius > 0.0:
@@ -70,19 +67,17 @@ def init_geometric_graph(
     diff = positions[:, None, :] - positions[None, :, :]
     within = (diff**2).sum(axis=-1) <= radius * radius
     np.fill_diagonal(within, False)
-    neighbors = [np.flatnonzero(row).tolist() for row in within]
-    return neighbors, np.argwhere(np.triu(within))
+    return [np.flatnonzero(row).tolist() for row in within]
 
 
 @dataclass
 class OpinionState:
     """Mutable simulation state; opinions are the most recent expressions.
 
-    ``edges`` is the (m, 2) array of undirected contact edges.
+    ``neighbors`` is the contact graph, as ``init_geometric_graph`` gives it.
     """
 
     neighbors: list[list[int]]
-    edges: np.ndarray
     opinions: list[int]
     q_plus: list[float]
     q_minus: list[float]
@@ -91,11 +86,11 @@ class OpinionState:
 
 def init_state(cfg: OpinionConfig, rng: np.random.Generator) -> OpinionState:
     """Geometry, uniform confidences in (-0.5, 0.5), opinions from the argmax."""
-    neighbors, edges = init_geometric_graph(cfg.n_agents, cfg.radius, rng)
+    neighbors = init_geometric_graph(cfg.n_agents, cfg.radius, rng)
     q_plus = (rng.random(cfg.n_agents) - 0.5).tolist()
     q_minus = (rng.random(cfg.n_agents) - 0.5).tolist()
     opinions = [1 if q_plus[i] >= q_minus[i] else -1 for i in range(cfg.n_agents)]
-    return OpinionState(neighbors, edges, opinions, q_plus, q_minus)
+    return OpinionState(neighbors, opinions, q_plus, q_minus)
 
 
 def interaction_reward(
@@ -163,24 +158,19 @@ class OpinionRecord(NamedTuple):
 OPINION_CSV_COLUMNS = OpinionRecord._fields
 
 
-def split_edges(state: OpinionState) -> int:
-    """Number of undirected edges whose two ends hold different opinions."""
-    opinions = np.asarray(state.opinions)
-    return int((opinions[state.edges[:, 0]] != opinions[state.edges[:, 1]]).sum())
-
-
 def measure(state: OpinionState) -> OpinionRecord:
     """Segregation of the contact graph split by opinion sign.
 
-    Each undirected edge counts as two directed ones; if one opinion has
-    no holders the network counts as fully segregated. This is the
-    from-scratch recount: ``run_opinion`` uses it for the step-0 record
-    and the tests use it as the oracle for the running counts of the
-    later records.
+    Each undirected edge counts as two directed ones, one in each end's
+    neighbor list; if one opinion has no holders the network counts as
+    fully segregated. This is the from-scratch recount, the tests' oracle
+    for the running counts ``run_opinion`` builds its records from.
     """
-    n_plus = int((np.asarray(state.opinions) == 1).sum())
-    n_minus = len(state.opinions) - n_plus
-    seg = segregation_value(2 * split_edges(state), n_plus, n_minus)
+    opinions = state.opinions
+    n_plus = opinions.count(1)
+    n_minus = len(opinions) - n_plus
+    split = sum(opinions[i] != opinions[k] for i, nbrs in enumerate(state.neighbors) for k in nbrs)
+    seg = segregation_value(split, n_plus, n_minus)
     qp = np.asarray(state.q_plus)
     qm = np.asarray(state.q_minus)
     gap = float(np.abs(qp - qm).mean())
@@ -212,35 +202,38 @@ def run_opinion(cfg: OpinionConfig) -> list[OpinionRecord]:
     For each agent the loop keeps how many of its neighbors hold +1, and
     for the records the number of +1 holders and of edges whose ends
     disagree. It updates them only when a speaker's public opinion flips,
-    so the listener's ally count is an integer read, and a record is built
-    from the counts instead of recounted by ``measure``.
+    so the listener's ally count is an integer read, and every record,
+    step 0 included, is built from the counts.
 
-    A linked speaker's step branches once, on the opinion it voices, and
-    reads its update from per-run terms with the same floats:
-    ``alpha * 1.0 == alpha`` on agreement, and on disagreement ``credit[a]``
-    for a allies, which is ``alpha * -1.0 == -alpha`` without the
-    recommender and ``alpha * (-1.0 + acceptance * a)`` with it. Steps run
-    in blocks of ``record_every``; each block but a shorter last one ends in
-    a record.
+    Without the recommender the model is the model at acceptance 0: a
+    linked speaker's step branches once, on the opinion it voices, and
+    reads its update from per-run terms with the floats of ``step_opinion``,
+    ``alpha * 1.0 == alpha`` on agreement and on disagreement ``credit[a]``
+    ``= alpha * (-1.0 + acceptance * a)`` for a allies, ``-alpha`` at
+    acceptance 0. Steps run in blocks of ``record_every``, each opened by a
+    record of the state before it; a last, empty block records a horizon
+    that ``record_every`` divides.
     """
     init_rng = substream(cfg.seed, "opinion", "init")
     step_rng = substream(cfg.seed, "opinion", "steps")
     state = init_state(cfg, init_rng)
-    records = [measure(state)]
     n, horizon, every, chunk = cfg.n_agents, cfg.horizon, cfg.record_every, _CHUNK
-    explore, acceptance, with_rec = cfg.exploration, cfg.acceptance, cfg.with_recommender
+    explore = cfg.exploration
+    acceptance = cfg.acceptance if cfg.with_recommender else 0.0
     alpha = cfg.learning_rate
     keep = 1.0 - alpha
     neighbors, opinions = state.neighbors, state.opinions
     q_plus, q_minus = state.q_plus, state.q_minus
     deg = [len(nbrs) for nbrs in neighbors]
     plus = [sum(opinions[k] == 1 for k in nbrs) for nbrs in neighbors]
-    n_plus, split = records[0].n_plus, split_edges(state)
     # the neighbor lists end to end, agent i's from offs[i], and one slot
     # past the end that an isolated last agent's offset may point at
     deg_a = np.array(deg)
     offs = np.cumsum([0] + deg[:-1])
     flat = np.array([k for nbrs in neighbors for k in nbrs] + [-1])
+    n_plus = opinions.count(1)
+    # each disagreeing edge, once from each of its ends
+    split = int(np.where(np.equal(opinions, 1), deg_a - plus, plus).sum()) // 2
 
     def decode(buf: np.ndarray) -> tuple[list[int], list[int], list[bool]]:
         """Speaker, listener (-1 if isolated) and exploration flag per position."""
@@ -251,13 +244,16 @@ def run_opinion(cfg: OpinionConfig) -> list[OpinionRecord]:
 
     # alpha times a disagreement's reward, by the listener's ally count,
     # which is at most the listener's degree less the speaker
-    credit = [alpha * (-1.0 + acceptance * a) if with_rec else -alpha for a in range(max(deg))]
+    credit = [alpha * (-1.0 + acceptance * a) for a in range(max(deg))]
 
+    records = []
     # a speaker at ``at`` has two draws after it while ``at < paired``
     at = size = paired = 0
-    for first in range(1, horizon + 1, every):
-        last = min(first + every - 1, horizon)
-        for s in range(first, last + 1):
+    for first in range(0, horizon + 1, every):
+        gap = np.add.reduce(np.abs(np.subtract(q_plus, q_minus))) / n
+        seg = segregation_value(2 * split, n_plus, n - n_plus)
+        records.append(OpinionRecord(first, seg, n_plus, n - n_plus, float(gap)))
+        for s in range(first + 1, min(first + every, horizon) + 1):
             if at == size:
                 buf = step_rng.random(min(horizon - s + 1, chunk))
                 S, J, F = decode(buf)
@@ -298,10 +294,6 @@ def run_opinion(cfg: OpinionConfig) -> list[OpinionRecord]:
                     q_minus[i] = keep * q_minus[i] + alpha
                 else:
                     q_minus[i] = keep * q_minus[i] + credit[deg[j] - plus[j] - 1]
-        if last % every == 0:
-            gap = np.add.reduce(np.abs(np.subtract(q_plus, q_minus))) / n
-            seg = segregation_value(2 * split, n_plus, n - n_plus)
-            records.append(OpinionRecord(last, seg, n_plus, n - n_plus, float(gap)))
     return records
 
 

@@ -53,17 +53,15 @@ def recommendation_probability(g: DirectedGraph, i: int, j: int) -> float:
     an existing edge means the pair is skipped, so asking for its
     probability is a contract violation. The two-hop support can exceed
     n - 1 (both link directions count), so the ratio is clamped to 1.
-    The pair's support is counted directly, in O(n).
+    The pair's support is read from ``two_hop_support``.
     """
     exists = g.has_edge(i, j)  # checks both nodes first
-    n, adj = g.n_per_community, g.adj
+    n = g.n_per_community
     if (i < n) == (j < n):
         raise ValueError("recommendation_probability requires i, j in different communities")
     if exists:
         raise ValueError(f"edge ({i}, {j}) already exists; pair is never proposed")
-    # two_hop_support's count for this one pair, from j's community alone
-    own = slice(n, 2 * n) if j >= n else slice(0, n)
-    count = int(adj[own, j] @ (adj[i, own].astype(np.int64) + adj[own, i]))
+    count = int(two_hop_support(g.adj, n)[i, j])
     if count == 0:
         return 0.0
     return min(1.0, count * (1.0 / (n - 1)))

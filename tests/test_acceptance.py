@@ -13,9 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from edgegame.blockmodel import StrategyPair, block_matrix, sample_adjacency, sample_snapshot
+from edgegame.blockmodel import StrategyPair, block_matrix, sample_snapshot
 from edgegame.dynamics import (
-    STACK_CELLS,
     ProtocolConfig,
     SemiMarkovChain,
     run_protocol,
@@ -29,11 +28,11 @@ from edgegame.game import (
     expected_utility_rec,
     iterated_dominance,
     nash_equilibrium,
-    realized_utility_rec_all,
 )
 from edgegame.opinion import OpinionConfig, run_opinion, tail_mean_segregation
 from edgegame.recommender import run_recommender
 from edgegame.seeding import substream
+from oracles import red_snapshot_means
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -149,21 +148,12 @@ def test_c05_monte_carlo_matches_analytic_utilities():
         for c in (0.0, 0.4, 0.8)
         for (p_r, p_b) in ((0.25, 0.25), (0.5, 1.0), (0.75, 0.5), (1.0, 0.75))
     ]
-    # stacks of the protocols' size, which give the same draws and means as
-    # one snapshot at a time
-    stack = STACK_CELLS // (4 * n * n)
     rng = substream(2025, "acceptance", "mc")
     digest = hashlib.sha256()
     ok = True
     details = []
     for p_r, p_b, c in points:
-        m = block_matrix(StrategyPair(p_r, p_b), n)
-        means = np.concatenate([
-            realized_utility_rec_all(
-                sample_adjacency(np.broadcast_to(m, (min(stack, snapshots - k), 2, 2)), n, rng), n, c
-            )[:, :n].mean(axis=1)
-            for k in range(0, snapshots, stack)
-        ])
+        means = red_snapshot_means(StrategyPair(p_r, p_b), c, n, snapshots, rng)
         digest.update(means.tobytes())
         expected = expected_utility_rec(StrategyPair(p_r, p_b), c, PlayerRole.RED)
         se = float(means.std(ddof=1) / math.sqrt(snapshots))

@@ -52,8 +52,8 @@ def test_sample_degenerate_matrices():
     g = sample_snapshot(np.eye(2), 3, rng)
     # both communities complete, no cross edges
     assert np.count_nonzero(g.adj) == 2 * 3 * 2
-    assert inter_edge_count(g) == 0
-    assert segregation_measure(g) == 1.0
+    assert inter_edge_count(g.adj, 3) == 0
+    assert segregation_measure(g.adj, 3) == 1.0
 
     g_empty = sample_snapshot(np.zeros((2, 2)), 4, rng)
     assert np.count_nonzero(g_empty.adj) == 0

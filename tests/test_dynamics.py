@@ -280,8 +280,8 @@ def reference_run_protocol(cfg):
             outcome = run_recommender(g, acceptance, rngs["recommend"])
             g.add_edges(outcome.accepted)
             recommended, accepted = len(outcome.recommended), len(outcome.accepted)
-        records.append(TraceRecord(t, p_r, p_b, acceptance, segregation_measure(g),
-                                   inter_edge_count(g), recommended, accepted))
+        records.append(TraceRecord(t, p_r, p_b, acceptance, segregation_measure(g.adj, n),
+                                   inter_edge_count(g.adj, n), recommended, accepted))
         if chain is not None:
             state = step_semi_markov(chain, state, t, rngs["chain"])
     return records, rngs

@@ -520,6 +520,15 @@ def test_cli_config_that_is_not_utf8_is_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_config_with_a_byte_order_mark_runs(tmp_path, capsys):
+    # a UTF-8 byte-order mark is not part of the first line
+    cfg = tmp_path / "bom.txt"
+    cfg.write_bytes(b"\xef\xbb\xbf[scenario a]\nkind = nash\n")
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out-dir", str(out)]) == 0
+    assert (out / "a.csv").exists()
+
+
 def test_cli_bad_flag_value_is_config_error(tmp_path, capsys):
     code = main(["protocol2", "--n", "abc", "--out-dir", str(tmp_path)])
     assert code == 2
@@ -582,6 +591,13 @@ def test_cli_env_var_out_dir(tmp_path, capsys, monkeypatch):
     code = main(["nash", "--c", "0.8"])
     assert code == 0
     assert (tmp_path / "env_out" / "nash.summary.json").exists()
+    # an empty variable is an unset one, as an empty --out-dir is: ./out,
+    # not the working directory
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("EDGEGAME_OUT_DIR", "")
+    assert main(["nash", "--c", "0.8"]) == 0
+    assert (tmp_path / "out" / "nash.csv").exists()
+    assert not (tmp_path / "nash.csv").exists()
 
 
 def test_cli_flag_wins_over_env(tmp_path, monkeypatch, capsys):

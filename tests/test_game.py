@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgegame.blockmodel import StrategyPair, block_matrix, sample_adjacency
-from edgegame.dynamics import STACK_CELLS
 from edgegame.game import (
     PlayerRole,
     Regime,
@@ -20,20 +19,13 @@ from edgegame.game import (
     realized_utility_rec_all,
 )
 from edgegame.graph import DirectedGraph, two_hop_support
+from oracles import oracle_d, oracle_s, red_snapshot_means
 
 # --- brute-force oracles working from raw indicator definitions -----------
 
 
-def _d(edges, n, i, j):
-    return 1 if (i, j) in edges and (i < n) != (j < n) else 0
-
-
-def _s(edges, n, i, j):
-    return 1 if (i, j) in edges and (i < n) == (j < n) else 0
-
-
 def oracle_base(edges, n, i):
-    return sum(_d(edges, n, i, j) - _d(edges, n, j, i) for j in range(2 * n) if j != i)
+    return sum(oracle_d(edges, n, i, j) - oracle_d(edges, n, j, i) for j in range(2 * n) if j != i)
 
 
 def oracle_rec(edges, n, i, c):
@@ -45,20 +37,20 @@ def oracle_rec(edges, n, i, c):
         if j == i:
             continue
         inner = sum(
-            (_d(edges, n, i, jp) + _d(edges, n, jp, i)) * _s(edges, n, jp, j)
+            (oracle_d(edges, n, i, jp) + oracle_d(edges, n, jp, i)) * oracle_s(edges, n, jp, j)
             for jp in range(size)
             if jp not in (i, j)
         )
-        total += c * (1 - _d(edges, n, i, j)) * inner / (n - 1)
+        total += c * (1 - oracle_d(edges, n, i, j)) * inner / (n - 1)
     for j in range(size):
         for ip in range(size):
             if ip in (i, j) or j == i:
                 continue
             total += (
                 c
-                * (1 - _d(edges, n, j, ip))
-                * _s(edges, n, i, ip)
-                * _d(edges, n, j, i)
+                * (1 - oracle_d(edges, n, j, ip))
+                * oracle_s(edges, n, i, ip)
+                * oracle_d(edges, n, j, i)
                 / (n - 1)
             )
     return total
@@ -410,15 +402,7 @@ def test_cross_partial_stencil_validation():
 
 
 def mc_red_mean(s: StrategyPair, c: float, n: int, snapshots: int, rng) -> tuple[float, float]:
-    # stacks of the protocols' size, which give the same draws and means as
-    # one snapshot at a time
-    m, stack = block_matrix(s, n), STACK_CELLS // (4 * n * n)
-    means = np.concatenate([
-        realized_utility_rec_all(
-            sample_adjacency(np.broadcast_to(m, (min(stack, snapshots - k), 2, 2)), n, rng), n, c
-        )[:, :n].mean(axis=1)
-        for k in range(0, snapshots, stack)
-    ])
+    means = red_snapshot_means(s, c, n, snapshots, rng)
     return float(means.mean()), float(means.std(ddof=1) / math.sqrt(snapshots))
 
 

@@ -13,17 +13,7 @@ from edgegame.graph import (
     two_hop_support,
 )
 from edgegame.recommender import recommendation_probability
-
-# Independent oracles: work from a raw edge set and the index-range
-# community rule, never through the graph's adjacency.
-
-
-def oracle_d(edges, n, i, j):
-    return 1 if (i, j) in edges and (i < n) != (j < n) else 0
-
-
-def oracle_s(edges, n, i, j):
-    return 1 if (i, j) in edges and (i < n) == (j < n) else 0
+from oracles import oracle_d, oracle_s, support
 
 
 def oracle_two_hop(edges, n, i, j):
@@ -50,10 +40,6 @@ def d_matrix(g):
 def s_matrix(g):
     """In-group edge indicators s_ij: the diagonal blocks of the adjacency."""
     return g.adj & ~cross_mask(g.n_per_community)
-
-
-def support(g, i, j):
-    return int(two_hop_support(g.adj, g.n_per_community)[i, j])
 
 
 def random_graph(n, density, rng):
@@ -126,20 +112,20 @@ def test_add_edges_errors_insert_nothing(pairs, message):
 def test_inter_edge_count_examples():
     n = 2
     g = DirectedGraph(n, [(0, 2), (2, 0), (0, 1)])
-    assert inter_edge_count(g) == 2
-    assert inter_edge_count(DirectedGraph(n)) == 0
+    assert inter_edge_count(g.adj, n) == 2
+    assert inter_edge_count(DirectedGraph(n).adj, n) == 0
     complete_bipartite = [(r, b) for r in range(2) for b in range(2, 4)]
     complete_bipartite += [(b, r) for r in range(2) for b in range(2, 4)]
-    assert inter_edge_count(DirectedGraph(n, complete_bipartite)) == 8
+    assert inter_edge_count(DirectedGraph(n, complete_bipartite).adj, n) == 8
 
 
 def test_segregation_examples():
     n = 2
-    assert segregation_measure(DirectedGraph(n, [(0, 1), (1, 0)])) == 1.0
+    assert segregation_measure(DirectedGraph(n, [(0, 1), (1, 0)]).adj, n) == 1.0
     complete_bipartite = [(r, b) for r in range(2) for b in range(2, 4)]
     complete_bipartite += [(b, r) for r in range(2) for b in range(2, 4)]
-    assert segregation_measure(DirectedGraph(n, complete_bipartite)) == 0.0
-    assert segregation_measure(DirectedGraph(n, [(0, 2), (2, 0)])) == 0.75
+    assert segregation_measure(DirectedGraph(n, complete_bipartite).adj, n) == 0.0
+    assert segregation_measure(DirectedGraph(n, [(0, 2), (2, 0)]).adj, n) == 0.75
 
 
 def test_segregation_value_empty_community():
@@ -176,9 +162,11 @@ def test_two_hop_empty_and_disjoint_counts():
 
 @pytest.mark.parametrize("shape", [(8, 8), (2, 8, 8), (6, 8), (2, 8, 6)])
 def test_two_hop_support_rejects_an_adjacency_of_another_n(shape):
-    # an 8x8 adjacency is n = 4; read as n = 3 it would give a support without error
-    with pytest.raises(ValueError, match=r"^adj must be 6x6 for n=3"):
-        two_hop_support(np.zeros(shape, dtype=bool), 3)
+    # an 8x8 adjacency is n = 4; read as n = 3 it would give a support (or a
+    # cross count, or a segregation) without error
+    for fn in (two_hop_support, inter_edge_count, segregation_measure):
+        with pytest.raises(ValueError, match=r"^adj must be 6x6 for n=3"):
+            fn(np.zeros(shape, dtype=bool), 3)
 
 
 def test_two_hop_support_is_zero_in_group():
@@ -226,7 +214,7 @@ def test_inter_count_matches_indicator_sum():
             for j in range(2 * n)
             if i != j
         )
-        assert inter_edge_count(g) == total
+        assert inter_edge_count(g.adj, n) == total
 
 
 def test_indicators_are_exclusive():
@@ -248,17 +236,17 @@ def test_segregation_monotonicity_under_edge_addition():
     for _ in range(30):
         n = int(rng.integers(2, 6))
         _, g = random_graph(n, 0.3, rng)
-        s0 = segregation_measure(g)
+        s0 = segregation_measure(g.adj, n)
         assert 0.0 <= s0 <= 1.0
         u = int(rng.integers(0, n))
         v = int(rng.integers(n, 2 * n))
         g.add_edges([(u, v)])
-        assert segregation_measure(g) <= s0  # new cross edge
-        s1 = segregation_measure(g)
+        assert segregation_measure(g.adj, n) <= s0  # new cross edge
+        s1 = segregation_measure(g.adj, n)
         w = int(rng.integers(0, n))
         x = (w + 1) % n
         g.add_edges([(w, x)])
-        assert segregation_measure(g) == s1  # in-group edge changes nothing
+        assert segregation_measure(g.adj, n) == s1  # in-group edge changes nothing
 
 
 def test_graph_validation():
@@ -287,7 +275,7 @@ def test_adjacency_round_trip():
     back = DirectedGraph.from_adjacency(g.adj.astype(np.int8), 3)
     assert back.adj.dtype == bool
     assert np.array_equal(back.adj, g.adj)
-    assert inter_edge_count(back) == inter_edge_count(g)
+    assert inter_edge_count(back.adj, 3) == inter_edge_count(g.adj, 3)
     # from_adjacency copies: the source array and the graph stay independent
     src = g.adj.copy()
     copy = DirectedGraph.from_adjacency(src, 3)
@@ -307,9 +295,14 @@ def test_adjacency_round_trip():
     seed=st.integers(0, 2**32 - 1),
 )
 def test_two_hop_support_of_a_stack_equals_one_call_per_snapshot(n, k, density, seed):
+    # and so do the cross count and the segregation
     adj = np.random.default_rng(seed).random((k, 2 * n, 2 * n)) < density
     adj[:, np.arange(2 * n), np.arange(2 * n)] = False
     stack = two_hop_support(adj, n)
     assert stack.shape == adj.shape and stack.dtype == np.int64
     for s in range(k):
         assert np.array_equal(stack[s], two_hop_support(adj[s], n))
+    for fn in (inter_edge_count, segregation_measure):
+        stack = fn(adj, n)
+        assert stack.shape == (k,)
+        assert stack.tolist() == [fn(adj[s], n) for s in range(k)]

@@ -21,6 +21,7 @@ from edgegame.opinion import (
     write_opinion_csv,
 )
 from edgegame.seeding import substream
+from oracles import RecordingGenerator
 
 
 class ScriptedRng:
@@ -34,12 +35,8 @@ class ScriptedRng:
 
 
 def tiny_state(opinions, q_plus, q_minus, neighbors):
-    edges = sorted(
-        {(min(a, b), max(a, b)) for a, nbrs in enumerate(neighbors) for b in nbrs}
-    )
     return OpinionState(
         neighbors=[list(nb) for nb in neighbors],
-        edges=np.array(edges, dtype=np.intp).reshape(-1, 2),
         opinions=list(opinions),
         q_plus=list(q_plus),
         q_minus=list(q_minus),
@@ -51,10 +48,9 @@ def tiny_state(opinions, q_plus, q_minus, neighbors):
 
 def test_geometric_graph_extremes():
     rng = np.random.default_rng(0)
-    neighbors, edges = init_geometric_graph(12, np.sqrt(2.0), rng)
-    assert len(edges) == 12 * 11 // 2  # complete
-    neighbors, edges = init_geometric_graph(12, 1e-9, rng)
-    assert edges.shape == (0, 2)
+    neighbors = init_geometric_graph(12, np.sqrt(2.0), rng)
+    assert neighbors == [[k for k in range(12) if k != i] for i in range(12)]  # complete
+    neighbors = init_geometric_graph(12, 1e-9, rng)
     assert all(not nb for nb in neighbors)
     for radius in (0.0, -0.1, float("nan")):
         with pytest.raises(ValueError, match="radius"):
@@ -66,7 +62,7 @@ def test_geometric_graph_mean_degree():
     rng = np.random.default_rng(123)
     degrees = []
     for _ in range(100):
-        neighbors, _ = init_geometric_graph(n, radius, rng)
+        neighbors = init_geometric_graph(n, radius, rng)
         degrees.append(np.mean([len(nb) for nb in neighbors]))
     mean = float(np.mean(degrees))
     approx = n * np.pi * radius**2  # interior approximation, 9.62
@@ -76,9 +72,12 @@ def test_geometric_graph_mean_degree():
 
 def test_geometric_graph_symmetry():
     rng = np.random.default_rng(7)
-    neighbors, edges = init_geometric_graph(30, 0.3, rng)
-    for a, b in edges:
-        assert b in neighbors[a] and a in neighbors[b]
+    neighbors = init_geometric_graph(30, 0.3, rng)
+    assert sum(map(len, neighbors)) > 0
+    for a, nbrs in enumerate(neighbors):
+        assert nbrs == sorted(nbrs) and a not in nbrs
+        for b in nbrs:
+            assert a in neighbors[b]
 
 
 # --- rewards and single steps ----------------------------------------------------
@@ -244,17 +243,6 @@ def reference_run_opinion(cfg):
     return records, rng
 
 
-class RecordingGenerator:
-    """Passes ``random(size)`` calls on to a generator and records each size."""
-
-    def __init__(self, rng):
-        self.rng, self.sizes = rng, []
-
-    def random(self, size=None):
-        self.sizes.append(size)
-        return self.rng.random(size)
-
-
 def assert_matches_reference(cfg, chunk=opinion._CHUNK):
     """run_opinion, with buffers of at most ``chunk``, agrees with the reference draw for draw.
 
@@ -340,6 +328,16 @@ def test_run_opinion_matches_step_opinion_recording_every_step():
             with_recommender=with_recommender, seed=8,
         )
         assert_matches_reference(cfg)
+
+
+def test_without_recommender_is_the_model_at_acceptance_zero():
+    # record for record, floats included: with no weak-tie credit a
+    # disagreement pays alpha * (-1.0 + 0.0 * a) == -alpha
+    for seed in range(10):
+        for learning_rate in (0.05, 0.3, 1.0):
+            base = dict(learning_rate=learning_rate, horizon=5000, seed=seed)
+            without = run_opinion(OpinionConfig(with_recommender=False, acceptance=0.9, **base))
+            assert without == run_opinion(OpinionConfig(acceptance=0.0, **base))
 
 
 def test_recommender_holds_tail_segregation_down_long_run():

@@ -14,12 +14,9 @@ from edgegame.recommender import (
     recommendation_probability,
     run_recommender,
 )
+from oracles import RecordingGenerator, support
 
 EXAMPLE_EDGES = [(4, 5), (4, 7), (0, 1), (4, 0)]  # n=4 picture graph
-
-
-def support(g, i, j):
-    return int(two_hop_support(g.adj, g.n_per_community)[i, j])
 
 
 def pairs(rows):
@@ -75,7 +72,8 @@ def test_probability_contract_errors():
     seed=st.integers(0, 2**32 - 1),
 )
 def test_probability_matches_the_support_matrix(n, density, seed):
-    # the one-pair count agrees with two_hop_support on every eligible cross pair
+    # every eligible cross pair's probability is its two_hop_support count
+    # over n - 1, clamped to 1, read from the full matrix
     adj = np.random.default_rng(seed).random((2 * n, 2 * n)) < density
     np.fill_diagonal(adj, False)
     g = DirectedGraph.from_adjacency(adj, n)
@@ -317,17 +315,6 @@ def test_proposals_match_a_loop_drawing_one_uniform_at_a_time(probs, seed):
     assert proposed.tolist() == expected
     assert draws.tolist() == expected_draws
     assert rng.random() == slow_rng.random()
-
-
-class RecordingGenerator:
-    """Passes ``random(size)`` calls on to a generator and records each size."""
-
-    def __init__(self, rng):
-        self.rng, self.sizes = rng, []
-
-    def random(self, size=None):
-        self.sizes.append(size)
-        return self.rng.random(size)
 
 
 @pytest.mark.parametrize("n", [3, 4, 30])
