@@ -12,6 +12,7 @@ every ``holding_time`` steps (P3).
 from __future__ import annotations
 
 import csv
+import threading
 from dataclasses import dataclass
 from typing import IO, Iterable, NamedTuple, Sequence
 
@@ -36,8 +37,9 @@ from .recommender import run_recommender  # noqa: F401
 # horizon-20 run at n <= 27 is one stack. That costs about 0.35 MB of peak
 # RSS: layerbench's protocol-n20 workload (n = 20, horizon 20) peaks at
 # 39.6 MB against 39.2 MB with 2**13 cells (x86-64, numpy 2.4.6, medians
-# of 10 runs).
-STACK_CELLS = 2**16
+# of 10 runs). It is the sampler's one-buffer bound, so that a stack of
+# several steps is drawn in one piece.
+STACK_CELLS = blockmodel.DRAW_CELLS
 
 
 def _shape(value) -> tuple[int, ...] | None:
@@ -140,6 +142,19 @@ class TraceRecord(NamedTuple):
 TRACE_COLUMNS = TraceRecord._fields
 
 
+def _draw_stacks(tasks, drawn, n: int, rng: np.random.Generator):
+    """Draw each stack of tables from the queue ``tasks`` until None; put its adjacency on ``drawn``.
+
+    A draw that raises puts the exception there instead, for the waiting thread to raise.
+    """
+    while (tables := tasks.get()) is not None:
+        try:
+            # looked up on the module, so that a rebinding of the sampler sees each draw
+            drawn.put(blockmodel.sample_adjacency(tables, n, rng))
+        except BaseException as exc:
+            drawn.put(exc)
+
+
 def run_protocol(cfg: ProtocolConfig) -> list[TraceRecord]:
     """Simulate one seeded run and return records for t = 0 .. horizon.
 
@@ -157,6 +172,15 @@ def run_protocol(cfg: ProtocolConfig) -> list[TraceRecord]:
     take the uniforms that step-by-step sampling and passes would take.
     Accepted pairs are distinct cross non-edges, so a step's post-pass
     ``inter_edges`` is its snapshot's cross count plus its accepted count.
+
+    The first stack is drawn in the calling thread. A run of several
+    stacks keeps one worker thread, which draws stack i + 1 while this
+    thread passes stack i, after counting its cross edges; it never draws
+    past the last stack. Every table is planned before the first draw,
+    and only the worker draws from ``graph`` while the pass draws from
+    ``recommend``, so the draws, the records and each generator's end
+    state are those of one thread. An error raised by a draw is raised
+    here, and the worker has ended before this function returns or raises.
     """
     init_rng = substream(cfg.seed, "init")
     graph_rng = substream(cfg.seed, "graph")
@@ -184,34 +208,56 @@ def run_protocol(cfg: ProtocolConfig) -> list[TraceRecord]:
             state = step_semi_markov(chain, state, t, chain_rng)
 
     per_stack = max(1, STACK_CELLS // (4 * n * n))
+    starts = range(0, len(steps), per_stack)
+    tables = [np.stack([step[3] for step in steps[start : start + per_stack]]) for start in starts]
     records: list[TraceRecord] = []
-    for start in range(0, len(steps), per_stack):
-        p_rs, p_bs, cs, tables = zip(*steps[start : start + per_stack])
-        k = len(cs)
-        # looked up on the module, so that a rebinding of the sampler sees each draw
-        adj = blockmodel.sample_adjacency(np.stack(tables), n, graph_rng)
-        inter = inter_edge_count(adj, n)
-        recommended = accepted = [None] * k
-        if cfg.acceptance is not None:
-            outcome = recommend_stack(adj, cs, rec_rng)
-            # row i of snapshot s is s * 2n + i in the outcome
-            recommended = np.bincount(outcome.recommended[:, 0] // (2 * n), minlength=k)
-            accepted = np.bincount(outcome.accepted[:, 0] // (2 * n), minlength=k)
-            inter += accepted
-            recommended, accepted = recommended.tolist(), accepted.tolist()
-        for s, inter_s in enumerate(inter.tolist()):
-            records.append(
-                TraceRecord(
-                    t=start + s,
-                    p_r=p_rs[s],
-                    p_b=p_bs[s],
-                    c=cs[s],
-                    segregation=segregation_value(inter_s, n, n),
-                    inter_edges=inter_s,
-                    recommended=recommended[s],
-                    accepted=accepted[s],
+    worker = None
+    if len(tables) > 1:
+        import queue  # here, so that a run of one stack costs no memory for it
+
+        tasks, drawn = queue.SimpleQueue(), queue.SimpleQueue()
+        worker = threading.Thread(target=_draw_stacks, args=(tasks, drawn, n, graph_rng))
+        worker.start()
+    try:
+        adj = blockmodel.sample_adjacency(tables[0], n, graph_rng)
+        for i, start in enumerate(starts):
+            p_rs, p_bs, cs, _ = zip(*steps[start : start + per_stack])
+            k = len(cs)
+            inter = inter_edge_count(adj, n)
+            # the next draw starts after the count, so that it overlaps only the
+            # pass and the records, never another draw or count
+            following = i + 1 < len(tables)
+            if following:
+                tasks.put(tables[i + 1])
+            recommended = accepted = [None] * k
+            if cfg.acceptance is not None:
+                outcome = recommend_stack(adj, cs, rec_rng)
+                # row i of snapshot s is s * 2n + i in the outcome
+                recommended = np.bincount(outcome.recommended[:, 0] // (2 * n), minlength=k)
+                accepted = np.bincount(outcome.accepted[:, 0] // (2 * n), minlength=k)
+                inter += accepted
+                recommended, accepted = recommended.tolist(), accepted.tolist()
+            for s, inter_s in enumerate(inter.tolist()):
+                records.append(
+                    TraceRecord(
+                        t=start + s,
+                        p_r=p_rs[s],
+                        p_b=p_bs[s],
+                        c=cs[s],
+                        segregation=segregation_value(inter_s, n, n),
+                        inter_edges=inter_s,
+                        recommended=recommended[s],
+                        accepted=accepted[s],
+                    )
                 )
-            )
+            if following:
+                adj = drawn.get()
+                if isinstance(adj, BaseException):
+                    raise adj
+    finally:
+        if worker is not None:
+            tasks.put(None)
+            worker.join()
     return records
 
 

@@ -1,10 +1,13 @@
 """Strategy-driven block sampling: probabilities, moments, determinism."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edgegame import blockmodel
 from edgegame.blockmodel import StrategyPair, block_matrix, sample_adjacency, sample_snapshot
 from edgegame.graph import inter_edge_count, segregation_measure
 
@@ -187,4 +190,49 @@ def test_sample_adjacency_stack_equals_one_call_per_table(n, tables, seed):
     assert stack.shape == (len(tables), 2 * n, 2 * n) and stack.dtype == bool
     for k, table in enumerate(tables):
         assert np.array_equal(stack[k], sample_adjacency(table, n, one_rng))
+    assert rng.random() == one_rng.random()
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 12),
+    tables=st.lists(
+        st.lists(PROBABILITY, min_size=4, max_size=4).map(lambda ps: np.reshape(ps, (2, 2))),
+        min_size=1,
+        max_size=3,
+    ),
+    piece_cells=st.integers(1, 200),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sample_adjacency_in_pieces_equals_one_buffer(n, tables, piece_cells, seed):
+    # every draw in pieces of whole friend rows, some of them one row longer than the bound
+    rng, one_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    with mock.patch.object(blockmodel, "DRAW_CELLS", 0), mock.patch.object(
+        blockmodel, "PIECE_CELLS", piece_cells
+    ):
+        pieced = sample_adjacency(np.stack(tables), n, rng)
+    assert pieced.shape == (len(tables), 2 * n, 2 * n) and pieced.dtype == bool
+    assert np.array_equal(pieced, sample_adjacency(np.stack(tables), n, one_rng))
+    assert rng.random() == one_rng.random()
+
+
+def test_a_draw_above_the_bound_takes_pieces_of_at_most_the_piece_size():
+    # n = 200: 160,000 cells in pieces of 40 friend rows (16,000 cells), the
+    # same snapshot and the same next draw as one buffer
+    n, sizes = 200, []
+    m = block_matrix(StrategyPair(0.75, 0.5), n)
+
+    class Recording:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def random(self, size):
+            sizes.append(size)
+            return self.rng.random(size)
+
+    rng, one_rng = np.random.default_rng(0), np.random.default_rng(0)
+    adj = sample_adjacency(m, n, Recording(rng))
+    assert sizes == [(40, 2, n)] * 10
+    with mock.patch.object(blockmodel, "DRAW_CELLS", 4 * n * n):
+        assert np.array_equal(adj, sample_adjacency(m, n, one_rng))
     assert rng.random() == one_rng.random()

@@ -2,6 +2,8 @@
 
 import copy
 import io
+import sys
+import threading
 from unittest import mock
 
 import numpy as np
@@ -348,6 +350,113 @@ def test_the_reference_examples_span_the_stacks_they_should(n, horizon, several)
     with mock.patch.object(dynamics.blockmodel, "sample_adjacency", sampler):
         run_protocol(ProtocolConfig(n_per_community=n, horizon=horizon, seed=0))
     assert (sampler.call_count >= 2) == several, sampler.call_count
+
+
+# A run of several stacks draws each stack after the first on one worker thread.
+SEVERAL_STACKS = ProtocolConfig(n_per_community=30, horizon=160, acceptance=0.8, seed=2)
+
+
+def test_a_run_of_several_stacks_draws_on_one_worker_that_ends_with_it():
+    real, threads = dynamics.blockmodel.sample_adjacency, []
+
+    def recording(tables, n, rng):
+        threads.append(threading.current_thread())
+        return real(tables, n, rng)
+
+    before = threading.active_count()
+    with mock.patch.object(dynamics.blockmodel, "sample_adjacency", recording):
+        run_protocol(SEVERAL_STACKS)
+        assert threading.active_count() == before
+        assert threads[0] is threading.current_thread()
+        assert len(threads) >= 3 and len(set(threads[1:])) == 1 and threads[1] is not threads[0]
+        # one stack: no thread
+        threads.clear()
+        run_protocol(ProtocolConfig(n_per_community=20, horizon=20, acceptance=0.8, seed=2))
+        assert threads == [threading.current_thread()]
+
+
+def test_an_error_in_a_worker_draw_is_raised_by_the_run():
+    real, calls = dynamics.blockmodel.sample_adjacency, []
+
+    def failing(tables, n, rng):
+        calls.append(threading.current_thread())
+        if len(calls) == 2:
+            raise RuntimeError("the second draw failed")
+        return real(tables, n, rng)
+
+    before = threading.active_count()
+    with mock.patch.object(dynamics.blockmodel, "sample_adjacency", failing):
+        with pytest.raises(RuntimeError, match="the second draw failed"):
+            run_protocol(SEVERAL_STACKS)
+    assert len(calls) == 2 and calls[1] is not threading.current_thread()
+    assert threading.active_count() == before
+
+
+def test_concurrent_runs_match_the_reference_under_a_short_switch_interval():
+    # three runs at once, each with its worker: six threads on fewer cores,
+    # switching every 10 microseconds
+    cfgs = [
+        SEVERAL_STACKS,
+        ProtocolConfig(n_per_community=100, horizon=6, acceptance=0.9, seed=5),
+        ProtocolConfig(n_per_community=26, horizon=160, acceptance=two_state_chain(holding=7), seed=1),
+    ]
+    results = [None] * len(cfgs)
+
+    def run(i):
+        results[i] = run_protocol(cfgs[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        callers = [threading.Thread(target=run, args=(i,)) for i in range(len(cfgs))]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    for cfg, records in zip(cfgs, results):
+        assert records == reference_run_protocol(cfg)[0]
+
+
+def test_no_draw_overlaps_a_count_and_the_tables_are_drawn_in_stack_order():
+    # layerbench's tracer keeps one stack of open spans: a draw on the worker
+    # may overlap the pass, which it does not trace, but no traced call
+    events, tables = [], []
+
+    def spanned(name, fn):
+        def wrapper(*args):
+            events.append(("enter", name))
+            try:
+                return fn(*args)
+            finally:
+                events.append(("exit", name))
+
+        return wrapper
+
+    real = dynamics.blockmodel.sample_adjacency
+
+    def drawing(table, n, rng):
+        tables.append(table)
+        return real(table, n, rng)
+
+    sampler = spanned("sample_adjacency", drawing)
+    counter = spanned("inter_edge_count", dynamics.inter_edge_count)
+    with mock.patch.object(dynamics.blockmodel, "sample_adjacency", sampler), mock.patch.object(
+        dynamics, "inter_edge_count", counter
+    ):
+        records = run_protocol(SEVERAL_STACKS)
+    one_stack = [
+        ("enter", "sample_adjacency"),
+        ("exit", "sample_adjacency"),
+        ("enter", "inter_edge_count"),
+        ("exit", "inter_edge_count"),
+    ]
+    assert len(tables) >= 3 and events == one_stack * len(tables)
+    n = SEVERAL_STACKS.n_per_community
+    planned = [block_matrix(StrategyPair(r.p_r, r.p_b), n) for r in records]
+    assert np.array_equal(np.concatenate(tables), np.stack(planned))
 
 
 def test_protocol3_tracks_switching_equilibrium():

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from edgegame.blockmodel import StrategyPair, block_matrix, sample_adjacency, sample_snapshot
 from edgegame.graph import DirectedGraph, two_hop_support
 from edgegame.recommender import (
-    RecommendationOutcome,
     _proposals,
     recommend_stack,
     recommendation_probability,
