@@ -12,7 +12,6 @@ every ``holding_time`` steps (P3).
 from __future__ import annotations
 
 import csv
-import threading
 from dataclasses import dataclass
 from typing import IO, Iterable, NamedTuple, Sequence
 
@@ -142,19 +141,6 @@ class TraceRecord(NamedTuple):
 TRACE_COLUMNS = TraceRecord._fields
 
 
-def _draw_stacks(tasks, drawn, n: int, rng: np.random.Generator):
-    """Draw each stack of tables from the queue ``tasks`` until None; put its adjacency on ``drawn``.
-
-    A draw that raises puts the exception there instead, for the waiting thread to raise.
-    """
-    while (tables := tasks.get()) is not None:
-        try:
-            # looked up on the module, so that a rebinding of the sampler sees each draw
-            drawn.put(blockmodel.sample_adjacency(tables, n, rng))
-        except BaseException as exc:
-            drawn.put(exc)
-
-
 def run_protocol(cfg: ProtocolConfig) -> list[TraceRecord]:
     """Simulate one seeded run and return records for t = 0 .. horizon.
 
@@ -173,14 +159,15 @@ def run_protocol(cfg: ProtocolConfig) -> list[TraceRecord]:
     Accepted pairs are distinct cross non-edges, so a step's post-pass
     ``inter_edges`` is its snapshot's cross count plus its accepted count.
 
-    The first stack is drawn in the calling thread. A run of several
-    stacks keeps one worker thread, which draws stack i + 1 while this
-    thread passes stack i, after counting its cross edges; it never draws
-    past the last stack. Every table is planned before the first draw,
-    and only the worker draws from ``graph`` while the pass draws from
-    ``recommend``, so the draws, the records and each generator's end
-    state are those of one thread. An error raised by a draw is raised
-    here, and the worker has ended before this function returns or raises.
+    The first stack is drawn in the calling thread. After counting stack
+    i's cross edges, this thread submits the draw of stack i + 1, and no
+    other, to a one-thread executor, passes stack i and then takes that
+    draw's result, which raises the draw's error if it had one. Every
+    table is planned before the first draw, and only the executor draws
+    from ``graph`` while the pass draws from ``recommend``, so the draws,
+    the records and each generator's end state are those of one thread.
+    The executor's thread has ended before this function returns or
+    raises; a run of one stack submits nothing and starts no thread.
     """
     init_rng = substream(cfg.seed, "init")
     graph_rng = substream(cfg.seed, "graph")
@@ -211,24 +198,21 @@ def run_protocol(cfg: ProtocolConfig) -> list[TraceRecord]:
     starts = range(0, len(steps), per_stack)
     tables = [np.stack([step[3] for step in steps[start : start + per_stack]]) for start in starts]
     records: list[TraceRecord] = []
-    worker = None
-    if len(tables) > 1:
-        import queue  # here, so that a run of one stack costs no memory for it
+    # imported here, so that a process that runs no protocol does not load it
+    from concurrent.futures import ThreadPoolExecutor
 
-        tasks, drawn = queue.SimpleQueue(), queue.SimpleQueue()
-        worker = threading.Thread(target=_draw_stacks, args=(tasks, drawn, n, graph_rng))
-        worker.start()
-    try:
+    with ThreadPoolExecutor(max_workers=1) as worker:
         adj = blockmodel.sample_adjacency(tables[0], n, graph_rng)
         for i, start in enumerate(starts):
             p_rs, p_bs, cs, _ = zip(*steps[start : start + per_stack])
             k = len(cs)
             inter = inter_edge_count(adj, n)
             # the next draw starts after the count, so that it overlaps only the
-            # pass and the records, never another draw or count
+            # pass and the records, never another draw or count; the sampler is
+            # looked up on the module, so that a rebinding of it sees each draw
             following = i + 1 < len(tables)
             if following:
-                tasks.put(tables[i + 1])
+                drawn = worker.submit(blockmodel.sample_adjacency, tables[i + 1], n, graph_rng)
             recommended = accepted = [None] * k
             if cfg.acceptance is not None:
                 outcome = recommend_stack(adj, cs, rec_rng)
@@ -251,13 +235,7 @@ def run_protocol(cfg: ProtocolConfig) -> list[TraceRecord]:
                     )
                 )
             if following:
-                adj = drawn.get()
-                if isinstance(adj, BaseException):
-                    raise adj
-    finally:
-        if worker is not None:
-            tasks.put(None)
-            worker.join()
+                adj = drawn.result()
     return records
 
 

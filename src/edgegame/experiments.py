@@ -302,8 +302,7 @@ def _distinct(key: str, written) -> None:
 
 
 def _create(path: Path) -> IO[str]:
-    """Open ``path`` for writing text, making its directory first."""
-    path.parent.mkdir(parents=True, exist_ok=True)
+    """Open ``path`` for writing text; ``check_scenario``'s call has made its directory."""
     return path.open("w", encoding="utf-8", newline="")
 
 
@@ -487,8 +486,8 @@ def check_scenario(spec: ScenarioSpec, out_dir: str | Path = ".") -> Callable[[]
     """Check every value of one scenario, writing nothing; return the call that runs it.
 
     A spec built by hand is held to its kind's keys, as a config file is,
-    and keys it leaves out take their defaults. The call writes the data
-    CSV and the JSON summary. The summary on disk lists every file the
+    and keys it leaves out take their defaults. The call makes the output
+    directory and writes the data CSV and the JSON summary. The summary on disk lists every file the
     scenario wrote except itself; the returned one also names
     ``<name>.summary.json``.
     """
@@ -509,6 +508,7 @@ def check_scenario(spec: ScenarioSpec, out_dir: str | Path = ".") -> Callable[[]
 
     def run() -> RunSummary:
         t0 = time.perf_counter()
+        csv_path.parent.mkdir(parents=True, exist_ok=True)
         next(runner, None)  # resumes the runner after its one yield and runs it to its end
         summary.files.append(csv_path.name)
         summary.wall_time_s = time.perf_counter() - t0

@@ -392,6 +392,23 @@ def test_an_error_in_a_worker_draw_is_raised_by_the_run():
     assert threading.active_count() == before
 
 
+def test_an_error_in_the_pass_while_a_draw_is_pending_is_raised_by_the_run():
+    real, calls = dynamics.recommend_stack, []
+
+    def failing(adj, cs, rng):
+        calls.append(len(cs))
+        if len(calls) == 2:
+            raise RuntimeError("the second pass failed")
+        return real(adj, cs, rng)
+
+    before = threading.active_count()
+    with mock.patch.object(dynamics, "recommend_stack", failing):
+        with pytest.raises(RuntimeError, match="the second pass failed"):
+            run_protocol(SEVERAL_STACKS)
+    assert len(calls) == 2
+    assert threading.active_count() == before
+
+
 def test_concurrent_runs_match_the_reference_under_a_short_switch_interval():
     # three runs at once, each with its worker: six threads on fewer cores,
     # switching every 10 microseconds
