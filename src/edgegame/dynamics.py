@@ -17,7 +17,7 @@ from typing import IO, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from . import blockmodel
+from . import blockmodel, graph
 from .blockmodel import StrategyPair, block_matrix
 from .checks import integer, probability, real
 from .game import PlayerRole, best_response, expected_utility_rec, nash_equilibrium
@@ -159,15 +159,21 @@ def run_protocol(cfg: ProtocolConfig) -> list[TraceRecord]:
     Accepted pairs are distinct cross non-edges, so a step's post-pass
     ``inter_edges`` is its snapshot's cross count plus its accepted count.
 
-    The first stack is drawn in the calling thread. After counting stack
-    i's cross edges, this thread submits the draw of stack i + 1, and no
+    Each stack is drawn together with its cross contacts
+    (``graph.cross_contacts``, none in P1), the first stage of its
+    two-hop support; the pass gets the support that
+    ``graph.support_from_contacts`` builds from them. The first stack is
+    drawn in the calling thread. After counting stack i's cross edges,
+    this thread submits the draw of stack i + 1 and its contacts, and no
     other, to a one-thread executor, passes stack i and then takes that
-    draw's result, which raises the draw's error if it had one. Every
-    table is planned before the first draw, and only the executor draws
-    from ``graph`` while the pass draws from ``recommend``, so the draws,
-    the records and each generator's end state are those of one thread.
-    The executor's thread has ended before this function returns or
-    raises; a run of one stack submits nothing and starts no thread.
+    job's result, which raises the job's error if it had one. Only the
+    stack and its small index and weight arrays come back from the
+    executor: the support and its terms are made in the calling thread.
+    Every table is planned before the first draw, and only the executor
+    draws from ``graph`` while the pass draws from ``recommend``, so the
+    draws, the records and each generator's end state are those of one
+    thread. The executor's thread has ended before this function returns
+    or raises; a run of one stack submits nothing and starts no thread.
     """
     init_rng = substream(cfg.seed, "init")
     graph_rng = substream(cfg.seed, "graph")
@@ -201,21 +207,24 @@ def run_protocol(cfg: ProtocolConfig) -> list[TraceRecord]:
     # imported here, so that a process that runs no protocol does not load it
     from concurrent.futures import ThreadPoolExecutor
 
+    passes = cfg.acceptance is not None
     with ThreadPoolExecutor(max_workers=1) as worker:
-        adj = blockmodel.sample_adjacency(tables[0], n, graph_rng)
+        adj, contacts = _draw_stack(tables[0], n, graph_rng, passes)
         for i, start in enumerate(starts):
             p_rs, p_bs, cs, _ = zip(*steps[start : start + per_stack])
             k = len(cs)
             inter = inter_edge_count(adj, n)
             # the next draw starts after the count, so that it overlaps only the
-            # pass and the records, never another draw or count; the sampler is
-            # looked up on the module, so that a rebinding of it sees each draw
+            # pass and the records, never another draw or count
             following = i + 1 < len(tables)
             if following:
-                drawn = worker.submit(blockmodel.sample_adjacency, tables[i + 1], n, graph_rng)
+                drawn = worker.submit(_draw_stack, tables[i + 1], n, graph_rng, passes)
             recommended = accepted = [None] * k
-            if cfg.acceptance is not None:
-                outcome = recommend_stack(adj, cs, rec_rng)
+            if passes:
+                # no name holds the support, so that it is freed with the pass
+                outcome = recommend_stack(
+                    adj, cs, rec_rng, support=graph.support_from_contacts(adj, n, contacts)
+                )
                 # row i of snapshot s is s * 2n + i in the outcome
                 recommended = np.bincount(outcome.recommended[:, 0] // (2 * n), minlength=k)
                 accepted = np.bincount(outcome.accepted[:, 0] // (2 * n), minlength=k)
@@ -235,8 +244,17 @@ def run_protocol(cfg: ProtocolConfig) -> list[TraceRecord]:
                     )
                 )
             if following:
-                adj = drawn.result()
+                adj, contacts = drawn.result()
     return records
+
+
+def _draw_stack(tables: np.ndarray, n: int, rng: np.random.Generator, passes: bool):
+    """One stack of snapshots, with its cross contacts if a pass will read them (else None).
+
+    Both are looked up on their modules, so that a rebinding of either sees each call.
+    """
+    adj = blockmodel.sample_adjacency(tables, n, rng)
+    return adj, graph.cross_contacts(adj, n) if passes else None
 
 
 def format_float(x: float) -> str:

@@ -22,6 +22,12 @@ leave it, for every bit generator, and no rewind is needed.
 A stack of snapshots is passed in one sequence (``recommend_stack``): each
 snapshot's eligible pairs follow the previous snapshot's, so the draws are
 those of the passes run in turn.
+
+The support is ``graph.two_hop_support``. A caller that has it already
+hands it to ``recommend_stack``: ``dynamics.run_protocol`` builds it with
+``graph.support_from_contacts`` from the cross contacts that its executor
+thread found beside the previous pass. ``run_recommender``, and with it
+criterion 11, computes it in the pass.
 """
 
 from __future__ import annotations
@@ -93,7 +99,10 @@ def run_recommender(
 
 
 def recommend_stack(
-    adj: np.ndarray, acceptance: Sequence[float], rng: np.random.Generator
+    adj: np.ndarray,
+    acceptance: Sequence[float],
+    rng: np.random.Generator,
+    support: np.ndarray | None = None,
 ) -> RecommendationOutcome:
     """The passes over a boolean (k, 2n, 2n) stack of snapshots, in turn, as one sequence.
 
@@ -104,6 +113,11 @@ def recommend_stack(
     uniforms that the k passes would take in turn. The outcome's rows
     number the nodes of the stack in turn: node i of snapshot s is
     s * 2n + i, so a stack of one gives the plain (i, j) pairs.
+
+    ``support``, when given, must be ``two_hop_support(adj, n)``, for
+    instance from ``support_from_contacts``; the pass then reads it in
+    place of computing it and overwrites it. Only its shape and its int64
+    dtype are checked. Without it the pass computes the support itself.
     """
     if len(acceptance) != len(adj):
         raise ValueError(f"acceptance must be one probability per snapshot, got {acceptance}")
@@ -113,7 +127,10 @@ def recommend_stack(
         raise ValueError(f"adj must be a bool array, got dtype {adj.dtype}")
     size = adj.shape[-1]
     n = size // 2
-    support = two_hop_support(adj, n)
+    if support is None:
+        support = two_hop_support(adj, n)
+    elif not isinstance(support, np.ndarray) or (support.dtype, support.shape) != (np.int64, adj.shape):
+        raise ValueError(f"support must be an int64 array of adj's shape {adj.shape}")
     support[adj] = 0  # existing edges are skipped
     counts = support.ravel()
     eligible = counts.nonzero()[0]  # row-major: snapshot by snapshot, each in pass order

@@ -395,11 +395,11 @@ def test_an_error_in_a_worker_draw_is_raised_by_the_run():
 def test_an_error_in_the_pass_while_a_draw_is_pending_is_raised_by_the_run():
     real, calls = dynamics.recommend_stack, []
 
-    def failing(adj, cs, rng):
+    def failing(adj, cs, rng, support=None):
         calls.append(len(cs))
         if len(calls) == 2:
             raise RuntimeError("the second pass failed")
-        return real(adj, cs, rng)
+        return real(adj, cs, rng, support=support)
 
     before = threading.active_count()
     with mock.patch.object(dynamics, "recommend_stack", failing):
@@ -407,6 +407,56 @@ def test_an_error_in_the_pass_while_a_draw_is_pending_is_raised_by_the_run():
             run_protocol(SEVERAL_STACKS)
     assert len(calls) == 2
     assert threading.active_count() == before
+
+
+def test_each_stack_finds_its_cross_contacts_on_the_thread_that_draws_it():
+    real_draw, real_contacts = dynamics.blockmodel.sample_adjacency, dynamics.graph.cross_contacts
+    draws, contacts = [], []
+
+    def drawing(tables, n, rng):
+        draws.append(threading.current_thread())
+        return real_draw(tables, n, rng)
+
+    def finding(adj, n):
+        contacts.append(threading.current_thread())
+        return real_contacts(adj, n)
+
+    with mock.patch.object(dynamics.blockmodel, "sample_adjacency", drawing), mock.patch.object(
+        dynamics.graph, "cross_contacts", finding
+    ):
+        run_protocol(SEVERAL_STACKS)
+    assert len(draws) >= 3 and contacts == draws
+    assert contacts[0] is threading.current_thread()
+    assert threading.current_thread() not in contacts[1:]
+
+
+def test_an_error_in_a_worker_contact_search_is_raised_by_the_run():
+    real, calls = dynamics.graph.cross_contacts, []
+
+    def failing(adj, n):
+        calls.append(threading.current_thread())
+        if len(calls) == 2:
+            raise RuntimeError("the second contact search failed")
+        return real(adj, n)
+
+    before = threading.active_count()
+    with mock.patch.object(dynamics.graph, "cross_contacts", failing):
+        with pytest.raises(RuntimeError, match="the second contact search failed"):
+            run_protocol(SEVERAL_STACKS)
+    assert len(calls) == 2 and calls[1] is not threading.current_thread()
+    assert threading.active_count() == before
+
+
+def test_a_run_without_the_recommender_finds_no_contacts():
+    # several stacks of P1: the executor draws and finds nothing
+    cfg = ProtocolConfig(n_per_community=30, horizon=160, acceptance=None, seed=2)
+    contacts = mock.Mock(wraps=dynamics.graph.cross_contacts)
+    sampler = mock.Mock(wraps=dynamics.blockmodel.sample_adjacency)
+    with mock.patch.object(dynamics.graph, "cross_contacts", contacts), mock.patch.object(
+        dynamics.blockmodel, "sample_adjacency", sampler
+    ):
+        run_protocol(cfg)
+    assert sampler.call_count >= 3 and contacts.call_count == 0
 
 
 def test_concurrent_runs_match_the_reference_under_a_short_switch_interval():

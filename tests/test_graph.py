@@ -1,5 +1,7 @@
 """Graph structure, indicator functions, and segregation metrics."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,9 +9,11 @@ from hypothesis import strategies as st
 
 from edgegame.graph import (
     DirectedGraph,
+    cross_contacts,
     inter_edge_count,
     segregation_measure,
     segregation_value,
+    support_from_contacts,
     two_hop_support,
 )
 from edgegame.recommender import recommendation_probability
@@ -306,3 +310,30 @@ def test_two_hop_support_of_a_stack_equals_one_call_per_snapshot(n, k, density, 
         stack = fn(adj, n)
         assert stack.shape == (k,)
         assert stack.tolist() == [fn(adj[s], n) for s in range(k)]
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 12),
+    k=st.integers(1, 5),
+    density=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+    stacked=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_support_from_contacts_found_apart_is_two_hop_support(n, k, density, stacked, seed):
+    adj = np.random.default_rng(seed).random((k, 2 * n, 2 * n)) < density
+    adj[:, np.arange(2 * n), np.arange(2 * n)] = False
+    if not stacked:
+        adj = adj[0]
+    expected = two_hop_support(adj, n)
+    got = support_from_contacts(adj, n, cross_contacts(adj, n))
+    assert got.shape == expected.shape and got.dtype == expected.dtype == np.int64
+    assert np.array_equal(got, expected)
+    # read as n + 1, both entry points refuse it as two_hop_support does
+    with pytest.raises(ValueError) as refused:
+        two_hop_support(adj, n + 1)
+    message = f"^{re.escape(str(refused.value))}$"
+    with pytest.raises(ValueError, match=message):
+        cross_contacts(adj, n + 1)
+    with pytest.raises(ValueError, match=message):
+        support_from_contacts(adj, n + 1, cross_contacts(adj, n))

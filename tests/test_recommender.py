@@ -408,3 +408,30 @@ def test_stack_pass_rejects_a_non_bool_adjacency(k):
         with pytest.raises(ValueError, match="adj must be a bool array"):
             recommend_stack(adj.astype(dtype), (0.8,) * k, rng)
     assert rng.random() == np.random.default_rng(0).random()
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(
+    n=st.integers(1, 12),
+    k=st.integers(1, 5),
+    density=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+    acceptance=st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), min_size=5, max_size=5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stack_pass_with_the_support_given_equals_the_pass_without(n, k, density, acceptance, seed):
+    adj = np.random.default_rng(seed).random((k, 2 * n, 2 * n)) < density
+    adj[:, np.arange(2 * n), np.arange(2 * n)] = False
+    rng, given_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    expected = recommend_stack(adj, acceptance[:k], rng)
+    got = recommend_stack(adj, acceptance[:k], given_rng, support=two_hop_support(adj, n))
+    assert pairs(got.recommended) == pairs(expected.recommended)
+    assert pairs(got.accepted) == pairs(expected.accepted)
+    assert given_rng.bit_generator.state == rng.bit_generator.state
+
+
+def test_stack_pass_rejects_a_support_of_another_shape_or_dtype():
+    adj = np.stack([example_graph().adj] * 2)
+    right = two_hop_support(adj, 4)
+    for support in (right[0], right[:1], right.astype(np.int32), right.astype(float), right.tolist()):
+        with pytest.raises(ValueError, match="^support must be"):
+            recommend_stack(adj, (0.5, 0.5), np.random.default_rng(0), support=support)
