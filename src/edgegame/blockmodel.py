@@ -8,7 +8,6 @@ O(n) while in-group edges stay O(n^2).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,14 +15,11 @@ import numpy as np
 from .checks import integer, probability
 from .graph import DirectedGraph
 
-# A draw of at most DRAW_CELLS adjacency cells takes its uniforms in one
-# float64 buffer. A larger one takes them in pieces of whole friend rows of
-# one snapshot, at most PIECE_CELLS cells each (one row where a row is
-# longer), so its buffer stays at 128 KB. On layerbench's protocol-n200
-# workload, whose next stack is drawn while the current one is passed, that
-# keeps peak RSS at 41.5 MB against 42.0 MB with pieces of 2**16 cells and
+# Most cells of one piece of a draw (see sample_adjacency), so that its
+# float buffer stays at 128 KB. On layerbench's protocol-n200 workload,
+# whose next stack is drawn while the current one is passed, that keeps
+# peak RSS at 41.5 MB against 42.0 MB with pieces of 2**16 cells and
 # 40.9 MB for one thread (x86-64, numpy 2.4.6).
-DRAW_CELLS = 2**16
 PIECE_CELLS = 2**14
 
 
@@ -57,35 +53,34 @@ def sample_adjacency(table: np.ndarray, n: int, rng: np.random.Generator) -> np.
     ``table`` is indexed [friend community, follower community], as an
     edge runs friend -> follower. One uniform is consumed per matrix cell
     in row-major (lexicographic) order, diagonal included, so a given
-    generator state always yields the same graph. The uniforms are drawn as
-    a (friend community, friend, follower community, follower) array: its C
-    order is the row-major order of the 2n x 2n matrix, so each uniform
-    meets the probability of its own cell, and the table broadcasts over
-    the blocks without being expanded to 2n x 2n.
+    generator state always yields the same graph. The uniforms fill a
+    (friend community, friend, follower community, follower) array: its C
+    order is the row-major order of the 2n x 2n matrix. Each friend row
+    meets its community's two probabilities, one per follower community,
+    so each uniform meets the probability of its own cell without the table
+    being expanded to 2n x 2n.
 
     A (k, 2, 2) stack of tables gives a (k, 2n, 2n) stack of snapshots
     from one draw. Its C order puts each snapshot's uniforms after the
     previous one's, so the stack equals k calls with one table each, and
     the generator ends where those calls would leave it.
 
-    A draw of more than ``DRAW_CELLS`` cells takes the same uniforms in the
-    same order, in pieces of at most ``PIECE_CELLS``: runs of friend rows
-    of one snapshot's friend community, each drawn and compared in turn.
-    So the snapshots and the generator's end state do not depend on the
-    piece size, and the float buffer stays small however large the draw.
+    The uniforms are drawn in pieces of at most ``PIECE_CELLS`` cells (one
+    row where a row is longer): runs of whole friend rows, counted over the
+    whole stack, so a piece may run from one snapshot into the next. The
+    pieces are drawn and compared in turn, in the order of one buffer, so
+    the snapshots and the generator's end state do not depend on the piece
+    size, and the float buffer stays small however large the draw.
     """
     integer("n", n, 1)
     lead = table.shape[:-2]
-    probs = table[..., :, None, :, None]
-    if math.prod(lead) * 4 * n * n <= DRAW_CELLS:
-        adj = rng.random(lead + (2, n, 2, n)) < probs
-    else:
-        adj = np.empty(lead + (2, n, 2, n), dtype=bool)
-        rows = max(1, PIECE_CELLS // (2 * n))
-        for block, p in zip(adj.reshape(-1, n, 2, n), probs.reshape(-1, 1, 2, 1)):
-            for i in range(0, n, rows):
-                piece = block[i : i + rows]
-                np.less(rng.random(piece.shape), p, out=piece)
+    adj = np.empty(lead + (2, n, 2, n), dtype=bool)
+    rows = adj.reshape(-1, 2, n)  # one friend row: (follower community, follower)
+    probs = np.repeat(table.reshape(-1, 2, 1), n, axis=0)  # each friend row's two blocks
+    step = max(1, PIECE_CELLS // (2 * n))
+    for i in range(0, len(rows), step):
+        piece = rows[i : i + step]
+        np.less(rng.random(piece.shape), probs[i : i + step], out=piece)
     adj.reshape(lead + (4 * n * n,))[..., :: 2 * n + 1] = False  # the diagonal
     return adj.reshape(lead + (2 * n, 2 * n))
 

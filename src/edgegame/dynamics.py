@@ -36,9 +36,8 @@ from .recommender import run_recommender  # noqa: F401
 # horizon-20 run at n <= 27 is one stack. That costs about 0.35 MB of peak
 # RSS: layerbench's protocol-n20 workload (n = 20, horizon 20) peaks at
 # 39.6 MB against 39.2 MB with 2**13 cells (x86-64, numpy 2.4.6, medians
-# of 10 runs). It is the sampler's one-buffer bound, so that a stack of
-# several steps is drawn in one piece.
-STACK_CELLS = blockmodel.DRAW_CELLS
+# of 10 runs).
+STACK_CELLS = 2**16
 
 
 def _shape(value) -> tuple[int, ...] | None:
@@ -160,20 +159,20 @@ def run_protocol(cfg: ProtocolConfig) -> list[TraceRecord]:
     ``inter_edges`` is its snapshot's cross count plus its accepted count.
 
     Each stack is drawn together with its cross contacts
-    (``graph.cross_contacts``, none in P1), the first stage of its
-    two-hop support; the pass gets the support that
-    ``graph.support_from_contacts`` builds from them. The first stack is
-    drawn in the calling thread. After counting stack i's cross edges,
-    this thread submits the draw of stack i + 1 and its contacts, and no
-    other, to a one-thread executor, passes stack i and then takes that
-    job's result, which raises the job's error if it had one. Only the
-    stack and its small index and weight arrays come back from the
-    executor: the support and its terms are made in the calling thread.
+    (``graph.cross_contacts``, none in P1), the first stage of its two-hop
+    support; ``recommend_stack(..., contacts=)`` hands them to
+    ``graph.two_hop_support``, which adds up the support from them. The
+    first stack is drawn in the calling thread. After counting stack i's
+    cross edges, this thread submits the draw of stack i + 1 and its
+    contacts, and no other, to a one-thread executor, passes stack i and
+    then takes that job's result, which raises the job's error if it had
+    one. Only the stack and its small index and weight arrays come back from
+    the executor: the support and its terms are made in the calling thread.
     Every table is planned before the first draw, and only the executor
     draws from ``graph`` while the pass draws from ``recommend``, so the
     draws, the records and each generator's end state are those of one
-    thread. The executor's thread has ended before this function returns
-    or raises; a run of one stack submits nothing and starts no thread.
+    thread. The executor's thread has ended before this function returns or
+    raises; a run of one stack submits nothing and starts no thread.
     """
     init_rng = substream(cfg.seed, "init")
     graph_rng = substream(cfg.seed, "graph")
@@ -221,10 +220,7 @@ def run_protocol(cfg: ProtocolConfig) -> list[TraceRecord]:
                 drawn = worker.submit(_draw_stack, tables[i + 1], n, graph_rng, passes)
             recommended = accepted = [None] * k
             if passes:
-                # no name holds the support, so that it is freed with the pass
-                outcome = recommend_stack(
-                    adj, cs, rec_rng, support=graph.support_from_contacts(adj, n, contacts)
-                )
+                outcome = recommend_stack(adj, cs, rec_rng, contacts=contacts)
                 # row i of snapshot s is s * 2n + i in the outcome
                 recommended = np.bincount(outcome.recommended[:, 0] // (2 * n), minlength=k)
                 accepted = np.bincount(outcome.accepted[:, 0] // (2 * n), minlength=k)

@@ -108,7 +108,9 @@ def segregation_measure(adj: np.ndarray, n: int):
     return segregation_value(inter_edge_count(adj, n), n, n)
 
 
-def two_hop_support(adj: np.ndarray, n: int) -> np.ndarray:
+def two_hop_support(
+    adj: np.ndarray, n: int, contacts: tuple[tuple[np.ndarray, ...], ...] | None = None
+) -> np.ndarray:
     """Two-hop support of every ordered pair, from a 2n x 2n adjacency.
 
     For i and j in different communities, ``support[i, j]`` counts the
@@ -123,22 +125,24 @@ def two_hop_support(adj: np.ndarray, n: int) -> np.ndarray:
     A (k, 2n, 2n) stack of adjacencies gives the (k, 2n, 2n) stack of
     their supports in one sequence; a 2n x 2n adjacency is a stack of one.
 
-    The zeros are allocated first, then each block finds its contacts and
-    adds its rows in turn. Keep that order: with the zeros allocated after
-    the contacts, criterion 11's first ratio read about 0.15 lower.
-    ``support_from_contacts(adj, n, cross_contacts(adj, n))`` is the same
-    array, with the contacts found apart, for instance on another thread.
+    ``contacts``, when given, must be ``cross_contacts(adj, n)``, found
+    before, for instance on another thread; the support is the same array.
+    The zeros are allocated first, then each block takes its given
+    contacts or finds them, and adds its rows, in turn. Keep that order:
+    with the zeros allocated after the contacts, criterion 11's first
+    ratio read about 0.15 lower.
     """
     _check_adjacency(adj, n)
     stack = adj.reshape((-1,) + adj.shape[-2:])
     support = np.zeros(stack.shape, dtype=np.int64)
-    for own, other in _blocks(n):
-        _accumulate(support, stack, own, other, _contacts(stack, own, other))
+    for b, (own, other) in enumerate(_blocks(n)):
+        hits = _contacts(stack, own, other) if contacts is None else contacts[b]
+        _accumulate(support, stack, own, other, hits)
     return support.reshape(adj.shape)
 
 
 def cross_contacts(adj: np.ndarray, n: int) -> tuple[tuple[np.ndarray, ...], ...]:
-    """The cross contacts of both blocks of ``two_hop_support``, for ``support_from_contacts``.
+    """The cross contacts of both blocks of ``two_hop_support``, to be handed to it.
 
     Per block, the (snapshot, row, contact) index arrays of the weight's
     nonzero entries and the weight, 1 or 2, of each.
@@ -146,18 +150,6 @@ def cross_contacts(adj: np.ndarray, n: int) -> tuple[tuple[np.ndarray, ...], ...
     _check_adjacency(adj, n)
     stack = adj.reshape((-1,) + adj.shape[-2:])
     return tuple(_contacts(stack, own, other) for own, other in _blocks(n))
-
-
-def support_from_contacts(
-    adj: np.ndarray, n: int, contacts: tuple[tuple[np.ndarray, ...], ...]
-) -> np.ndarray:
-    """``two_hop_support(adj, n)`` from the ``cross_contacts(adj, n)`` found before."""
-    _check_adjacency(adj, n)
-    stack = adj.reshape((-1,) + adj.shape[-2:])
-    support = np.zeros(stack.shape, dtype=np.int64)
-    for (own, other), hits in zip(_blocks(n), contacts):
-        _accumulate(support, stack, own, other, hits)
-    return support.reshape(adj.shape)
 
 
 def _blocks(n: int) -> tuple[tuple[slice, slice], ...]:

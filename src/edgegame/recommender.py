@@ -23,11 +23,11 @@ A stack of snapshots is passed in one sequence (``recommend_stack``): each
 snapshot's eligible pairs follow the previous snapshot's, so the draws are
 those of the passes run in turn.
 
-The support is ``graph.two_hop_support``. A caller that has it already
-hands it to ``recommend_stack``: ``dynamics.run_protocol`` builds it with
-``graph.support_from_contacts`` from the cross contacts that its executor
-thread found beside the previous pass. ``run_recommender``, and with it
-criterion 11, computes it in the pass.
+The support is ``graph.two_hop_support``, built in the pass from the
+stack's cross contacts (``graph.cross_contacts``). A caller that has found
+them already hands them to ``recommend_stack``: ``dynamics.run_protocol``
+does, with the contacts that its executor thread found beside the previous
+pass. ``run_recommender``, and with it criterion 11, finds them in the pass.
 """
 
 from __future__ import annotations
@@ -102,7 +102,7 @@ def recommend_stack(
     adj: np.ndarray,
     acceptance: Sequence[float],
     rng: np.random.Generator,
-    support: np.ndarray | None = None,
+    contacts: tuple[tuple[np.ndarray, ...], ...] | None = None,
 ) -> RecommendationOutcome:
     """The passes over a boolean (k, 2n, 2n) stack of snapshots, in turn, as one sequence.
 
@@ -114,11 +114,12 @@ def recommend_stack(
     number the nodes of the stack in turn: node i of snapshot s is
     s * 2n + i, so a stack of one gives the plain (i, j) pairs.
 
-    ``support``, when given, must be ``two_hop_support(adj, n)``, for
-    instance from ``support_from_contacts``; the pass then reads it in
-    place of computing it and overwrites it. Only its shape and its int64
-    dtype are checked. Without it the pass computes the support itself.
+    ``contacts``, when given, must be ``graph.cross_contacts(adj, n)``;
+    ``two_hop_support`` then builds the support from them in place of
+    finding them. An ``adj`` that is not a 3-D bool stack is a ValueError.
     """
+    if adj.ndim != 3:
+        raise ValueError(f"adj must be a (k, 2n, 2n) stack of snapshots, got shape {adj.shape}")
     if len(acceptance) != len(adj):
         raise ValueError(f"acceptance must be one probability per snapshot, got {acceptance}")
     for c in acceptance:
@@ -127,10 +128,7 @@ def recommend_stack(
         raise ValueError(f"adj must be a bool array, got dtype {adj.dtype}")
     size = adj.shape[-1]
     n = size // 2
-    if support is None:
-        support = two_hop_support(adj, n)
-    elif not isinstance(support, np.ndarray) or (support.dtype, support.shape) != (np.int64, adj.shape):
-        raise ValueError(f"support must be an int64 array of adj's shape {adj.shape}")
+    support = two_hop_support(adj, n, contacts)
     support[adj] = 0  # existing edges are skipped
     counts = support.ravel()
     eligible = counts.nonzero()[0]  # row-major: snapshot by snapshot, each in pass order

@@ -27,6 +27,19 @@ def support(g, i, j):
     return int(two_hop_support(g.adj, g.n_per_community)[i, j])
 
 
+def one_buffer_adjacency(table, n, rng):
+    """``sample_adjacency`` drawn in one float buffer, for a (2, 2) table or a stack of them.
+
+    The uniforms of all cells, diagonal included, in one (..., 2, n, 2, n)
+    draw, each against its blocks' probability; then the diagonal is cleared.
+    """
+    lead = table.shape[:-2]
+    adj = rng.random(lead + (2, n, 2, n)) < table[..., :, None, :, None]
+    adj = adj.reshape(lead + (2 * n, 2 * n))
+    adj[..., np.arange(2 * n), np.arange(2 * n)] = False
+    return adj
+
+
 class RecordingGenerator:
     """Passes ``random(size)`` calls on to a generator and records each size."""
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from edgegame import blockmodel
 from edgegame.blockmodel import StrategyPair, block_matrix, sample_adjacency, sample_snapshot
 from edgegame.graph import inter_edge_count, segregation_measure
+from oracles import RecordingGenerator, one_buffer_adjacency
 
 
 def test_strategy_pair_validation():
@@ -205,34 +206,31 @@ def test_sample_adjacency_stack_equals_one_call_per_table(n, tables, seed):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_sample_adjacency_in_pieces_equals_one_buffer(n, tables, piece_cells, seed):
-    # every draw in pieces of whole friend rows, some of them one row longer than the bound
+    # every draw in pieces of whole friend rows, some of them one row longer than the
+    # bound, and some running from one snapshot into the next
     rng, one_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    with mock.patch.object(blockmodel, "DRAW_CELLS", 0), mock.patch.object(
-        blockmodel, "PIECE_CELLS", piece_cells
-    ):
+    with mock.patch.object(blockmodel, "PIECE_CELLS", piece_cells):
         pieced = sample_adjacency(np.stack(tables), n, rng)
     assert pieced.shape == (len(tables), 2 * n, 2 * n) and pieced.dtype == bool
-    assert np.array_equal(pieced, sample_adjacency(np.stack(tables), n, one_rng))
+    assert np.array_equal(pieced, one_buffer_adjacency(np.stack(tables), n, one_rng))
     assert rng.random() == one_rng.random()
 
 
 def test_a_draw_above_the_bound_takes_pieces_of_at_most_the_piece_size():
-    # n = 200: 160,000 cells in pieces of 40 friend rows (16,000 cells), the
-    # same snapshot and the same next draw as one buffer
-    n, sizes = 200, []
-    m = block_matrix(StrategyPair(0.75, 0.5), n)
-
-    class Recording:
-        def __init__(self, rng):
-            self.rng = rng
-
-        def random(self, size):
-            sizes.append(size)
-            return self.rng.random(size)
-
-    rng, one_rng = np.random.default_rng(0), np.random.default_rng(0)
-    adj = sample_adjacency(m, n, Recording(rng))
-    assert sizes == [(40, 2, n)] * 10
-    with mock.patch.object(blockmodel, "DRAW_CELLS", 4 * n * n):
-        assert np.array_equal(adj, sample_adjacency(m, n, one_rng))
-    assert rng.random() == one_rng.random()
+    # the same snapshots and the same next draw as one buffer
+    cases = [
+        # 160,000 cells in pieces of 40 friend rows (16,000 cells)
+        (200, block_matrix(StrategyPair(0.75, 0.5), 200), [(40, 2, 200)] * 10),
+        # protocol-n20's stack, k = 21: 840 friend rows in pieces of 409, crossing snapshots
+        (
+            20,
+            np.stack([block_matrix(StrategyPair(0.5 + s / 50, 0.9 - s / 50), 20) for s in range(21)]),
+            [(409, 2, 20), (409, 2, 20), (22, 2, 20)],
+        ),
+    ]
+    for n, m, sizes in cases:
+        rng, one_rng = RecordingGenerator(np.random.default_rng(0)), np.random.default_rng(0)
+        adj = sample_adjacency(m, n, rng)
+        assert rng.sizes == sizes
+        assert np.array_equal(adj, one_buffer_adjacency(m, n, one_rng))
+        assert rng.rng.random() == one_rng.random()

@@ -395,11 +395,11 @@ def test_an_error_in_a_worker_draw_is_raised_by_the_run():
 def test_an_error_in_the_pass_while_a_draw_is_pending_is_raised_by_the_run():
     real, calls = dynamics.recommend_stack, []
 
-    def failing(adj, cs, rng, support=None):
+    def failing(adj, cs, rng, contacts=None):
         calls.append(len(cs))
         if len(calls) == 2:
             raise RuntimeError("the second pass failed")
-        return real(adj, cs, rng, support=support)
+        return real(adj, cs, rng, contacts=contacts)
 
     before = threading.active_count()
     with mock.patch.object(dynamics, "recommend_stack", failing):

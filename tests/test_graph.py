@@ -13,7 +13,6 @@ from edgegame.graph import (
     inter_edge_count,
     segregation_measure,
     segregation_value,
-    support_from_contacts,
     two_hop_support,
 )
 from edgegame.recommender import recommendation_probability
@@ -326,7 +325,7 @@ def test_support_from_contacts_found_apart_is_two_hop_support(n, k, density, sta
     if not stacked:
         adj = adj[0]
     expected = two_hop_support(adj, n)
-    got = support_from_contacts(adj, n, cross_contacts(adj, n))
+    got = two_hop_support(adj, n, cross_contacts(adj, n))
     assert got.shape == expected.shape and got.dtype == expected.dtype == np.int64
     assert np.array_equal(got, expected)
     # read as n + 1, both entry points refuse it as two_hop_support does
@@ -336,4 +335,4 @@ def test_support_from_contacts_found_apart_is_two_hop_support(n, k, density, sta
     with pytest.raises(ValueError, match=message):
         cross_contacts(adj, n + 1)
     with pytest.raises(ValueError, match=message):
-        support_from_contacts(adj, n + 1, cross_contacts(adj, n))
+        two_hop_support(adj, n + 1, cross_contacts(adj, n))

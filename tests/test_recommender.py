@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edgegame.blockmodel import StrategyPair, block_matrix, sample_adjacency, sample_snapshot
-from edgegame.graph import DirectedGraph, two_hop_support
+from edgegame.graph import DirectedGraph, cross_contacts, two_hop_support
 from edgegame.recommender import (
     _proposals,
     recommend_stack,
@@ -400,13 +400,18 @@ def test_stack_pass_needs_one_acceptance_per_snapshot():
 
 @pytest.mark.parametrize("k", [1, 3])
 def test_stack_pass_rejects_a_non_bool_adjacency(k):
-    # indexing by an int 0/1 array picks rows by value, not cells by mask
+    # indexing by an int 0/1 array picks rows by value, not cells by mask; and
+    # a 2-D adjacency with 2n acceptances would read only the first of them
     tables = np.stack([block_matrix(StrategyPair(0.75, 0.5), 10)] * k)
     adj = sample_adjacency(tables, 10, np.random.default_rng(3))
     rng = np.random.default_rng(0)
-    for dtype in (np.int64, np.uint8):
-        with pytest.raises(ValueError, match="adj must be a bool array"):
-            recommend_stack(adj.astype(dtype), (0.8,) * k, rng)
+    for bad, acceptance, message in (
+        (adj.astype(np.int64), (0.8,) * k, "adj must be a bool array"),
+        (adj.astype(np.uint8), (0.8,) * k, "adj must be a bool array"),
+        (adj[0], (0.0,) + (1.0,) * 19, r"adj must be a \(k, 2n, 2n\) stack"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            recommend_stack(bad, acceptance, rng)
     assert rng.random() == np.random.default_rng(0).random()
 
 
@@ -423,15 +428,7 @@ def test_stack_pass_with_the_support_given_equals_the_pass_without(n, k, density
     adj[:, np.arange(2 * n), np.arange(2 * n)] = False
     rng, given_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     expected = recommend_stack(adj, acceptance[:k], rng)
-    got = recommend_stack(adj, acceptance[:k], given_rng, support=two_hop_support(adj, n))
+    got = recommend_stack(adj, acceptance[:k], given_rng, contacts=cross_contacts(adj, n))
     assert pairs(got.recommended) == pairs(expected.recommended)
     assert pairs(got.accepted) == pairs(expected.accepted)
     assert given_rng.bit_generator.state == rng.bit_generator.state
-
-
-def test_stack_pass_rejects_a_support_of_another_shape_or_dtype():
-    adj = np.stack([example_graph().adj] * 2)
-    right = two_hop_support(adj, 4)
-    for support in (right[0], right[:1], right.astype(np.int32), right.astype(float), right.tolist()):
-        with pytest.raises(ValueError, match="^support must be"):
-            recommend_stack(adj, (0.5, 0.5), np.random.default_rng(0), support=support)
