@@ -95,6 +95,8 @@ def step_semi_markov(chain: SemiMarkovChain, state: int, t: int, rng: np.random.
     Exactly one uniform is consumed at each jump instant (even when the
     row is degenerate), none otherwise.
     """
+    if integer("state", state, 0) >= len(chain.states):
+        raise ValueError(f"state must be < {len(chain.states)}, got {state}")
     integer("t", t, 0)
     if (t + 1) % chain.holding_time != 0:
         return state
@@ -149,14 +151,16 @@ def run_protocol(cfg: ProtocolConfig) -> list[TraceRecord]:
     snapshot, runs the recommender pass when configured, records metrics
     on the post-pass graph, and finally advances the acceptance chain.
 
-    The strategies never read a snapshot, so the run is planned first:
-    every step's strategies, acceptance and block table, with the
-    ``init`` and ``chain`` draws. The steps then go in stacks of at most
-    ``STACK_CELLS`` cells: one ``sample_adjacency`` draw from ``graph``
-    and one ``recommend_stack`` pass from ``recommend`` per stack, which
-    take the uniforms that step-by-step sampling and passes would take.
-    Accepted pairs are distinct cross non-edges, so a step's post-pass
-    ``inter_edges`` is its snapshot's cross count plus its accepted count.
+    The strategies never read a snapshot, so the run is planned first, with
+    the ``init`` and ``chain`` draws: columns over t of the strategies and
+    acceptance, and one (T, 2, 2) array of block tables. The steps then go
+    in stacks of at most ``STACK_CELLS`` cells, each a slice of the plan:
+    one ``sample_adjacency`` draw from ``graph`` and one ``recommend_stack``
+    pass from ``recommend`` per stack, which take the uniforms that
+    step-by-step sampling and passes would take. Accepted pairs are
+    distinct cross non-edges, so a step's post-pass ``inter_edges`` is its
+    snapshot's cross count plus its accepted count. The stacks only extend
+    the run's count columns; every record is built once, after the last stack.
 
     Each stack is drawn together with its cross contacts
     (``graph.cross_contacts``, none in P1), the first stage of its two-hop
@@ -185,63 +189,56 @@ def run_protocol(cfg: ProtocolConfig) -> list[TraceRecord]:
     state = chain.initial_state if chain is not None else None
     n = cfg.n_per_community
 
-    steps = []  # (p_r, p_b, acceptance, block table) of each t
-    for t in range(cfg.horizon + 1):
-        acceptance = cfg.acceptance if chain is None else chain.states[state]
+    T = cfg.horizon + 1
+    p_rs, p_bs, cs = [], [], []
+    for t in range(T):
+        c = cfg.acceptance if chain is None else chain.states[state]
         if t >= 1:
             opponent = p_b if t % 2 == 1 else p_r
-            response = best_response(0.0 if acceptance is None else acceptance, opponent)
+            response = best_response(0.0 if c is None else c, opponent)
             if t % 2 == 1:
                 p_r = response
             else:
                 p_b = response
-        steps.append((p_r, p_b, acceptance, block_matrix(StrategyPair(p_r, p_b), n)))
+        p_rs.append(p_r)
+        p_bs.append(p_b)
+        cs.append(c)
         if chain is not None:
             state = step_semi_markov(chain, state, t, chain_rng)
+    tables = np.stack([block_matrix(StrategyPair(r, b), n) for r, b in zip(p_rs, p_bs)])
 
     per_stack = max(1, STACK_CELLS // (4 * n * n))
-    starts = range(0, len(steps), per_stack)
-    tables = [np.stack([step[3] for step in steps[start : start + per_stack]]) for start in starts]
-    records: list[TraceRecord] = []
+    passes = cfg.acceptance is not None
+    inter_edges = []  # of each t, after its pass
+    recommended, accepted = ([], []) if passes else ([None] * T, [None] * T)
     # imported here, so that a process that runs no protocol does not load it
     from concurrent.futures import ThreadPoolExecutor
 
-    passes = cfg.acceptance is not None
     with ThreadPoolExecutor(max_workers=1) as worker:
-        adj, contacts = _draw_stack(tables[0], n, graph_rng, passes)
-        for i, start in enumerate(starts):
-            p_rs, p_bs, cs, _ = zip(*steps[start : start + per_stack])
-            k = len(cs)
+        adj, contacts = _draw_stack(tables[:per_stack], n, graph_rng, passes)
+        for start in range(0, T, per_stack):
+            stop = start + per_stack
             inter = inter_edge_count(adj, n)
             # the next draw starts after the count, so that it overlaps only the
-            # pass and the records, never another draw or count
-            following = i + 1 < len(tables)
-            if following:
-                drawn = worker.submit(_draw_stack, tables[i + 1], n, graph_rng, passes)
-            recommended = accepted = [None] * k
+            # pass, never another draw or count
+            if stop < T:
+                drawn = worker.submit(_draw_stack, tables[stop : stop + per_stack], n, graph_rng, passes)
             if passes:
-                outcome = recommend_stack(adj, cs, rec_rng, contacts=contacts)
+                outcome = recommend_stack(adj, cs[start:stop], rec_rng, contacts=contacts)
                 # row i of snapshot s is s * 2n + i in the outcome
-                recommended = np.bincount(outcome.recommended[:, 0] // (2 * n), minlength=k)
-                accepted = np.bincount(outcome.accepted[:, 0] // (2 * n), minlength=k)
-                inter += accepted
-                recommended, accepted = recommended.tolist(), accepted.tolist()
-            for s, inter_s in enumerate(inter.tolist()):
-                records.append(
-                    TraceRecord(
-                        t=start + s,
-                        p_r=p_rs[s],
-                        p_b=p_bs[s],
-                        c=cs[s],
-                        segregation=segregation_value(inter_s, n, n),
-                        inter_edges=inter_s,
-                        recommended=recommended[s],
-                        accepted=accepted[s],
-                    )
-                )
-            if following:
+                rec = np.bincount(outcome.recommended[:, 0] // (2 * n), minlength=len(adj))
+                acc = np.bincount(outcome.accepted[:, 0] // (2 * n), minlength=len(adj))
+                inter += acc
+                recommended += rec.tolist()
+                accepted += acc.tolist()
+            inter_edges += inter.tolist()
+            if stop < T:
                 adj, contacts = drawn.result()
-    return records
+    columns = zip(p_rs, p_bs, cs, inter_edges, recommended, accepted)
+    return [
+        TraceRecord(t, p_r, p_b, c, segregation_value(e, n, n), e, r, a)
+        for t, (p_r, p_b, c, e, r, a) in enumerate(columns)
+    ]
 
 
 def _draw_stack(tables: np.ndarray, n: int, rng: np.random.Generator, passes: bool):

@@ -51,6 +51,13 @@ def test_chain_validation():
     # NaN passes both the sign test and the row-sum test
     with pytest.raises(ValueError, match=r"\btransition\b"):
         SemiMarkovChain([0.6, 0.9], [[np.nan, np.nan], [0.5, 0.5]], 1)
+    # a state off the chain, or not an int, is refused before any draw
+    chain = SemiMarkovChain([0.6, 0.9], [[1.0, 0.0], [0.0, 1.0]], 1)
+    for state in (-1, 2, True):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match=r"^state\b"):
+            step_semi_markov(chain, state, 0, rng)
+        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
 
 def test_chain_holds_between_jump_instants():

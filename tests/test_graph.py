@@ -319,7 +319,7 @@ def test_two_hop_support_of_a_stack_equals_one_call_per_snapshot(n, k, density, 
     stacked=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_support_from_contacts_found_apart_is_two_hop_support(n, k, density, stacked, seed):
+def test_two_hop_support_with_contacts_found_apart_is_two_hop_support(n, k, density, stacked, seed):
     adj = np.random.default_rng(seed).random((k, 2 * n, 2 * n)) < density
     adj[:, np.arange(2 * n), np.arange(2 * n)] = False
     if not stacked:

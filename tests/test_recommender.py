@@ -399,7 +399,7 @@ def test_stack_pass_needs_one_acceptance_per_snapshot():
 
 
 @pytest.mark.parametrize("k", [1, 3])
-def test_stack_pass_rejects_a_non_bool_adjacency(k):
+def test_stack_pass_rejects_an_adjacency_that_is_not_a_bool_stack(k):
     # indexing by an int 0/1 array picks rows by value, not cells by mask; and
     # a 2-D adjacency with 2n acceptances would read only the first of them
     tables = np.stack([block_matrix(StrategyPair(0.75, 0.5), 10)] * k)
@@ -423,7 +423,7 @@ def test_stack_pass_rejects_a_non_bool_adjacency(k):
     acceptance=st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), min_size=5, max_size=5),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_stack_pass_with_the_support_given_equals_the_pass_without(n, k, density, acceptance, seed):
+def test_stack_pass_with_the_contacts_given_equals_the_pass_without(n, k, density, acceptance, seed):
     adj = np.random.default_rng(seed).random((k, 2 * n, 2 * n)) < density
     adj[:, np.arange(2 * n), np.arange(2 * n)] = False
     rng, given_rng = np.random.default_rng(seed), np.random.default_rng(seed)
