@@ -407,6 +407,10 @@ _OPINION_FIELDS = [f for f in fields(OpinionConfig) if f.name != "seed"]
 def _opinion(params: dict, csv_path: Path, summary: RunSummary) -> Iterator[None]:
     config = {f.name: params[_key_of(f.name)] for f in _OPINION_FIELDS}
     cfg = OpinionConfig(**config, seed=summary.seed)
+    if cfg.horizon % cfg.record_every:
+        raise ValueError(
+            f"record_every {cfg.record_every} must divide horizon {cfg.horizon}; later steps reach no record"
+        )
     yield
     records = run_opinion(cfg)
     with _create(csv_path) as fp:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blockmodel import StrategyPair
-from .checks import integer, probability, real
+from .checks import integer, probability
 
 # Lower end of the action set (0, 1]. Best responses never reach it in
 # either regime; it only keeps the clamp inside the open interval.
@@ -162,24 +162,3 @@ def iterated_dominance(acceptance: float, iterations: int) -> list[tuple[float, 
         out.append((lo, hi))
     return out
 
-
-def cross_partial(acceptance: float, s: StrategyPair, h: float) -> float:
-    """Central finite-difference estimate of d2 U_red / (d p_r d p_b).
-
-    The expected utility is quadratic, so for any valid step this equals
-    minus the acceptance probability up to rounding. The step ``h`` is a
-    positive real number, and all four stencil points must stay inside
-    (0, 1]; ``StrategyPair`` rejects any other.
-    """
-    if not real("h", h) > 0.0:  # NaN fails this test
-        raise ValueError(f"h must be positive, got {h}")
-
-    def u(pr: float, pb: float) -> float:
-        return expected_utility_rec(StrategyPair(pr, pb), acceptance, PlayerRole.RED)
-
-    return (
-        u(s.p_r + h, s.p_b + h)
-        - u(s.p_r + h, s.p_b - h)
-        - u(s.p_r - h, s.p_b + h)
-        + u(s.p_r - h, s.p_b - h)
-    ) / (4.0 * h * h)

@@ -81,7 +81,6 @@ class OpinionState:
     opinions: list[int]
     q_plus: list[float]
     q_minus: list[float]
-    steps_done: int = 0
 
 
 def init_state(cfg: OpinionConfig, rng: np.random.Generator) -> OpinionState:
@@ -93,17 +92,15 @@ def init_state(cfg: OpinionConfig, rng: np.random.Generator) -> OpinionState:
     return OpinionState(neighbors, opinions, q_plus, q_minus)
 
 
-def interaction_reward(
-    expressed: int, listener_opinion: int, ally_count: int, acceptance: float, with_recommender: bool
-) -> float:
+def interaction_reward(expressed: int, listener_opinion: int, ally_count: int, acceptance: float) -> float:
     """Feedback for one voiced opinion.
 
-    Agreement pays +1. Disagreement pays -1 plus, in the recommender
-    variant, the acceptance probability times the number of the
-    listener's neighbors who share the speaker's opinion.
+    Agreement pays +1. Disagreement pays -1 plus the acceptance
+    probability times the number of the listener's neighbors who share
+    the speaker's opinion; without the recommender the acceptance is 0.
     """
     base = float(expressed * listener_opinion)
-    if with_recommender and expressed != listener_opinion:
+    if expressed != listener_opinion:
         return base + acceptance * ally_count
     return base
 
@@ -116,12 +113,12 @@ def step_opinion(state: OpinionState, cfg: OpinionConfig, rng: np.random.Generat
     speakers make the step a no-op. With probability 1 - exploration the
     speaker voices its higher-confidence opinion, otherwise the other one;
     the voiced opinion becomes the speaker's public opinion and only its
-    confidence entry is updated.
+    confidence entry is updated. Without the recommender the step is the
+    step at acceptance 0, as in ``run_opinion``.
     """
     n = cfg.n_agents
     i = int(rng.random() * n)
     nbrs = state.neighbors[i]
-    state.steps_done += 1
     if not nbrs:
         return
     j = nbrs[int(rng.random() * len(nbrs))]
@@ -130,14 +127,13 @@ def step_opinion(state: OpinionState, cfg: OpinionConfig, rng: np.random.Generat
     state.opinions[i] = expressed
     listener_opinion = state.opinions[j]
     ally_count = 0
-    if cfg.with_recommender and expressed != listener_opinion:
+    if expressed != listener_opinion:
         opinions = state.opinions
         for k in state.neighbors[j]:
             if k != i and opinions[k] == expressed:
                 ally_count += 1
-    reward = interaction_reward(
-        expressed, listener_opinion, ally_count, cfg.acceptance, cfg.with_recommender
-    )
+    acceptance = cfg.acceptance if cfg.with_recommender else 0.0
+    reward = interaction_reward(expressed, listener_opinion, ally_count, acceptance)
     alpha = cfg.learning_rate
     if expressed == 1:
         state.q_plus[i] = (1.0 - alpha) * state.q_plus[i] + alpha * reward
@@ -158,8 +154,8 @@ class OpinionRecord(NamedTuple):
 OPINION_CSV_COLUMNS = OpinionRecord._fields
 
 
-def measure(state: OpinionState) -> OpinionRecord:
-    """Segregation of the contact graph split by opinion sign.
+def measure(state: OpinionState, step: int) -> OpinionRecord:
+    """Record of ``state`` after ``step`` micro-steps, the contact graph split by opinion sign.
 
     Each undirected edge counts as two directed ones, one in each end's
     neighbor list; if one opinion has no holders the network counts as
@@ -174,7 +170,7 @@ def measure(state: OpinionState) -> OpinionRecord:
     qp = np.asarray(state.q_plus)
     qm = np.asarray(state.q_minus)
     gap = float(np.abs(qp - qm).mean())
-    return OpinionRecord(state.steps_done, seg, n_plus, n_minus, gap)
+    return OpinionRecord(step, seg, n_plus, n_minus, gap)
 
 
 def run_opinion(cfg: OpinionConfig) -> list[OpinionRecord]:

@@ -6,10 +6,13 @@ community rule, never through an adjacency.
 
 import numpy as np
 
-from edgegame.blockmodel import StrategyPair, block_matrix, sample_adjacency
-from edgegame.dynamics import STACK_CELLS
-from edgegame.game import realized_utility_rec_all
-from edgegame.graph import two_hop_support
+from edgegame.blockmodel import StrategyPair, block_matrix, sample_adjacency, sample_snapshot
+from edgegame.checks import real
+from edgegame.dynamics import STACK_CELLS, SemiMarkovChain, TraceRecord, step_semi_markov
+from edgegame.game import PlayerRole, best_response, expected_utility_rec, realized_utility_rec_all
+from edgegame.graph import inter_edge_count, segregation_measure, two_hop_support
+from edgegame.recommender import run_recommender
+from edgegame.seeding import substream
 
 
 def oracle_d(edges, n, i, j):
@@ -64,3 +67,62 @@ def red_snapshot_means(s: StrategyPair, c: float, n: int, snapshots: int, rng) -
         )[:, :n].mean(axis=1)
         for k in range(0, snapshots, stack)
     ])
+
+
+SUBSTREAMS = ("init", "graph", "recommend", "chain")
+
+
+def reference_run_protocol(cfg):
+    """The protocol one step at a time: sample a snapshot, pass over it, add the accepted pairs, count.
+
+    Returns the records and the run's generator of each substream label.
+    """
+    rngs = {label: substream(cfg.seed, label) for label in SUBSTREAMS}
+    p_r = 1.0 - rngs["init"].random()
+    p_b = 1.0 - rngs["init"].random()
+    chain = cfg.acceptance if isinstance(cfg.acceptance, SemiMarkovChain) else None
+    state = chain.initial_state if chain is not None else None
+    n = cfg.n_per_community
+    records = []
+    for t in range(cfg.horizon + 1):
+        acceptance = cfg.acceptance if chain is None else chain.states[state]
+        if t >= 1:
+            opponent = p_b if t % 2 == 1 else p_r
+            response = 1.0 if acceptance is None else best_response(acceptance, opponent)
+            if t % 2 == 1:
+                p_r = response
+            else:
+                p_b = response
+        g = sample_snapshot(block_matrix(StrategyPair(p_r, p_b), n), n, rngs["graph"])
+        recommended = accepted = None
+        if acceptance is not None:
+            outcome = run_recommender(g, acceptance, rngs["recommend"])
+            g.add_edges(outcome.accepted)
+            recommended, accepted = len(outcome.recommended), len(outcome.accepted)
+        records.append(TraceRecord(t, p_r, p_b, acceptance, segregation_measure(g.adj, n),
+                                   inter_edge_count(g.adj, n), recommended, accepted))
+        if chain is not None:
+            state = step_semi_markov(chain, state, t, rngs["chain"])
+    return records, rngs
+
+
+def cross_partial(acceptance: float, s: StrategyPair, h: float) -> float:
+    """Central finite-difference estimate of d2 U_red / (d p_r d p_b).
+
+    The expected utility is quadratic, so for any valid step this equals
+    minus the acceptance probability up to rounding. The step ``h`` is a
+    positive real number, and all four stencil points must stay inside
+    (0, 1]; ``StrategyPair`` rejects any other.
+    """
+    if not real("h", h) > 0.0:  # NaN fails this test
+        raise ValueError(f"h must be positive, got {h}")
+
+    def u(pr: float, pb: float) -> float:
+        return expected_utility_rec(StrategyPair(pr, pb), acceptance, PlayerRole.RED)
+
+    return (
+        u(s.p_r + h, s.p_b + h)
+        - u(s.p_r + h, s.p_b - h)
+        - u(s.p_r - h, s.p_b + h)
+        + u(s.p_r - h, s.p_b - h)
+    ) / (4.0 * h * h)

@@ -24,7 +24,6 @@ from edgegame.experiments import ScenarioSpec, run_scenario
 from edgegame.game import (
     PlayerRole,
     Regime,
-    cross_partial,
     expected_utility_rec,
     iterated_dominance,
     nash_equilibrium,
@@ -32,7 +31,7 @@ from edgegame.game import (
 from edgegame.opinion import OpinionConfig, run_opinion, tail_mean_segregation
 from edgegame.recommender import run_recommender
 from edgegame.seeding import substream
-from oracles import red_snapshot_means
+from oracles import cross_partial, red_snapshot_means
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edgegame import dynamics, opinion
-from edgegame.blockmodel import StrategyPair, block_matrix, sample_snapshot
+from edgegame.blockmodel import StrategyPair, block_matrix
 from edgegame.dynamics import (
     ProtocolConfig,
     SemiMarkovChain,
@@ -23,11 +23,10 @@ from edgegame.dynamics import (
     verify_myopic_optimality,
     write_trace_csv,
 )
-from edgegame.game import best_response, nash_equilibrium
-from edgegame.graph import inter_edge_count, segregation_measure
+from edgegame.game import nash_equilibrium
 from edgegame.opinion import OpinionConfig, run_opinion
-from edgegame.recommender import run_recommender
 from edgegame.seeding import substream
+from oracles import SUBSTREAMS, reference_run_protocol
 
 
 def two_state_chain(holding=10):
@@ -257,43 +256,6 @@ def test_substream_draw_counts_are_pinned(run, monkeypatch):
         fresh = substream(seed, *labels)
         fresh.bit_generator.advance(pinned[labels])
         assert rng.bit_generator.state == fresh.bit_generator.state, labels
-
-
-SUBSTREAMS = ("init", "graph", "recommend", "chain")
-
-
-def reference_run_protocol(cfg):
-    """The protocol one step at a time: sample a snapshot, pass over it, add the accepted pairs, count.
-
-    Returns the records and the run's generator of each substream label.
-    """
-    rngs = {label: substream(cfg.seed, label) for label in SUBSTREAMS}
-    p_r = 1.0 - rngs["init"].random()
-    p_b = 1.0 - rngs["init"].random()
-    chain = cfg.acceptance if isinstance(cfg.acceptance, SemiMarkovChain) else None
-    state = chain.initial_state if chain is not None else None
-    n = cfg.n_per_community
-    records = []
-    for t in range(cfg.horizon + 1):
-        acceptance = cfg.acceptance if chain is None else chain.states[state]
-        if t >= 1:
-            opponent = p_b if t % 2 == 1 else p_r
-            response = 1.0 if acceptance is None else best_response(acceptance, opponent)
-            if t % 2 == 1:
-                p_r = response
-            else:
-                p_b = response
-        g = sample_snapshot(block_matrix(StrategyPair(p_r, p_b), n), n, rngs["graph"])
-        recommended = accepted = None
-        if acceptance is not None:
-            outcome = run_recommender(g, acceptance, rngs["recommend"])
-            g.add_edges(outcome.accepted)
-            recommended, accepted = len(outcome.recommended), len(outcome.accepted)
-        records.append(TraceRecord(t, p_r, p_b, acceptance, segregation_measure(g.adj, n),
-                                   inter_edge_count(g.adj, n), recommended, accepted))
-        if chain is not None:
-            state = step_semi_markov(chain, state, t, rngs["chain"])
-    return records, rngs
 
 
 PROBABILITY = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)

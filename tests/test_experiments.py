@@ -556,6 +556,8 @@ def test_cli_bad_flag_value_is_config_error(tmp_path, capsys):
         (["nash", "--name", ""], "name"),
         (["nash", "--name", "."], "name"),
         (["nash", "--name", ".."], "name"),
+        # the steps after the last multiple of record_every reached no record
+        (["opinion", "--horizon", "250"], "record_every"),
     ],
 )
 def test_cli_out_of_range_value_is_config_error(tmp_path, capsys, argv, key):

@@ -12,14 +12,13 @@ from edgegame.game import (
     PlayerRole,
     Regime,
     best_response,
-    cross_partial,
     expected_utility_rec,
     iterated_dominance,
     nash_equilibrium,
     realized_utility_rec_all,
 )
 from edgegame.graph import DirectedGraph, two_hop_support
-from oracles import oracle_d, oracle_s, red_snapshot_means
+from oracles import cross_partial, oracle_d, oracle_s, red_snapshot_means
 
 # --- brute-force oracles working from raw indicator definitions -----------
 

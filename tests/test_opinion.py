@@ -84,12 +84,12 @@ def test_geometric_graph_symmetry():
 
 
 def test_interaction_reward_values():
-    assert interaction_reward(1, 1, 0, 0.9, True) == 1.0
-    assert interaction_reward(1, 1, 5, 0.9, True) == 1.0  # allies ignored on agreement
-    assert interaction_reward(1, -1, 0, 0.9, True) == -1.0
-    assert interaction_reward(1, -1, 2, 0.9, True) == pytest.approx(0.8)
-    assert interaction_reward(1, -1, 2, 0.9, False) == -1.0
-    assert interaction_reward(-1, 1, 3, 0.5, True) == pytest.approx(0.5)
+    assert interaction_reward(1, 1, 0, 0.9) == 1.0
+    assert interaction_reward(1, 1, 5, 0.9) == 1.0  # allies ignored on agreement
+    assert interaction_reward(1, -1, 0, 0.9) == -1.0
+    assert interaction_reward(1, -1, 2, 0.9) == pytest.approx(0.8)
+    assert interaction_reward(1, -1, 2, 0.0) == -1.0
+    assert interaction_reward(-1, 1, 3, 0.5) == pytest.approx(0.5)
 
 
 def test_step_agreement_updates_confidence():
@@ -180,11 +180,11 @@ def test_unanimous_start_stays_segregated_without_exploration():
         state.q_minus[i] = -0.4
         state.opinions[i] = 1
     rng = np.random.default_rng(11)
-    first = measure(state).segregation
+    first = measure(state, 0).segregation
     assert first == 1.0  # one empty opinion class
     for _ in range(cfg.horizon):
         step_opinion(state, cfg, rng)
-    assert measure(state).segregation == 1.0
+    assert measure(state, cfg.horizon).segregation == 1.0
 
 
 def test_zero_exploration_fixed_preferences_constant_segregation():
@@ -198,9 +198,9 @@ def test_zero_exploration_fixed_preferences_constant_segregation():
         else:
             state.q_plus[i], state.q_minus[i] = -5.0, 5.0
     values = set()
-    for _ in range(300):
+    for s in range(1, 301):
         step_opinion(state, cfg, rng)
-        values.add(measure(state).segregation)
+        values.add(measure(state, s).segregation)
     assert len(values) == 1
 
 
@@ -235,11 +235,11 @@ def reference_run_opinion(cfg):
     """
     state = init_state(cfg, substream(cfg.seed, "opinion", "init"))
     rng = substream(cfg.seed, "opinion", "steps")
-    records = [measure(state)]
+    records = [measure(state, 0)]
     for s in range(1, cfg.horizon + 1):
         step_opinion(state, cfg, rng)
         if s % cfg.record_every == 0:
-            records.append(measure(state))
+            records.append(measure(state, s))
     return records, rng
 
 
